@@ -2077,10 +2077,6 @@ def d22_normalized_dedup(sf_dir: str):
                                      batch_format="pyarrow")
                 .groupby("kind").aggregate(Sum("n", alias_name="n")))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def widen(group: pa.Table) -> pa.Table:
         m = dict(zip(group.column("kind").to_pylist(),
                      [int(v) for v in group.column("n").to_pylist()]))
@@ -2092,8 +2088,7 @@ def d22_normalized_dedup(sf_dir: str):
             "extra_dups": pa.array([raw - norm], type=pa.int64()),
         })
 
-    return (per_kind.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return per_kind.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- D23 ----

@@ -30,6 +30,58 @@ def _read(sf_dir: str, table: str, columns=None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+def _daily_cents(sf_dir: str):
+    """Daily cent-value totals of ``events``: ``(event_type, day,
+    sum(x))``, all-int64 except the type.  ``day`` is the UTC day number
+    ``ts_us // 86_400_000_000`` and ``x`` is ``floor(value*100 + 0.5)``,
+    so every total is exact.  Per-block Arrow partials, then ONE Ray
+    exchange on the (types x span-days)-bounded key."""
+    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
+
+    def partial(batch: pa.Table) -> pa.Table:
+        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
+        day = us // 86_400_000_000
+        v = np.asarray(batch.column("value"), dtype=np.float64)
+        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        t = pa.table({"event_type": batch.column("event_type"),
+                      "day": pa.array(day, type=pa.int64()),
+                      "v100": pa.array(v100, type=pa.int64())})
+        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
+        return pa.table({"event_type": g.column("event_type"),
+                         "day": g.column("day"),
+                         "x": g.column("v100_sum").cast(pa.int64())})
+
+    return (ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .groupby(["event_type", "day"]).sum("x"))
+
+
+def _daily_counts(sf_dir: str):
+    """Daily event counts of ``events``: ``(event_type, day, n)`` with
+    ``_daily_cents``'s day number and an int64 ``n``.  Same plan:
+    per-block Arrow partials, then ONE bounded Ray exchange."""
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Sum
+
+    ds = _read(sf_dir, "events", ["event_type", "ts"])
+
+    def partial(batch: pa.Table) -> pa.Table:
+        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
+        t = pa.table({"event_type": batch.column("event_type"),
+                      "day": pa.array(us // 86_400_000_000,
+                                      type=pa.int64())})
+        g = t.group_by(["event_type", "day"]).aggregate(
+            [([], "count_all")])
+        return pa.table({"event_type": g.column("event_type"),
+                         "day": g.column("day"),
+                         "n": pc.cast(g.column("count_all"), pa.int64())})
+
+    return (ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True)
+            .groupby(["event_type", "day"])
+            .aggregate(Sum("n", alias_name="n")))
+
+
 # ---------------------------------------------------------------- G2 ----
 def g2_source_stats(sf_dir: str):
     """Grouped corpus stats over documents: per source, doc count and exact
@@ -3092,13 +3144,8 @@ def g16_chi2_independence(sf_dir: str):
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_g", pa.array([0] * batch.num_rows, type=pa.int64()))
-
     def finish(group: pa.Table) -> pa.Table:
-        t = (group.drop_columns(["_g"])
-             .group_by(["event_type", "dow"]).aggregate([("n", "sum")]))
+        t = group.group_by(["event_type", "dow"]).aggregate([("n", "sum")])
         et = t.column("event_type").to_pylist()
         dow = np.asarray(t.column("dow"), dtype=np.int64)
         obs = np.asarray(t.column("n_sum"), dtype=np.int64)
@@ -3126,8 +3173,7 @@ def g16_chi2_independence(sf_dir: str):
             "chi2_term": pa.array(chi, type=pa.float64()),
         })
 
-    return (partials.map_batches(tag, batch_format="pyarrow")
-            .groupby("_g").map_groups(finish, batch_format="pyarrow"))
+    return partials.repartition(1).map_batches(finish, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- A12 ----
@@ -3645,13 +3691,8 @@ def g23_partition_skew(sf_dir: str, num_partitions: int = 32):
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_g", pa.array([0] * batch.num_rows,
-                                                  type=pa.int64()))
-
     def finish(group: pa.Table) -> pa.Table:
-        t = (group.drop_columns(["_g"])
-             .group_by(["bucket"]).aggregate([("n", "sum")]))
+        t = group.group_by(["bucket"]).aggregate([("n", "sum")])
         b = np.asarray(t.column("bucket"), dtype=np.int64)
         n = np.asarray(t.column("n_sum"), dtype=np.int64)
         total = int(n.sum())
@@ -3668,8 +3709,7 @@ def g23_partition_skew(sf_dir: str, num_partitions: int = 32):
                                     type=pa.float64()),
         })
 
-    return (partials.map_batches(tag, batch_format="pyarrow")
-            .groupby("_g").map_groups(finish, batch_format="pyarrow"))
+    return partials.repartition(1).map_batches(finish, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G17 ----
@@ -3849,8 +3889,6 @@ def a29_xcorr_volumes(sf_dir: str, lags: tuple = (0, 1, 2, 3, 7)):
     per year), never row-level data."""
     import math
 
-    import pyarrow.compute as pc
-
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3867,18 +3905,10 @@ def a29_xcorr_volumes(sf_dir: str, lags: tuple = (0, 1, 2, 3, 7)):
                             zero_copy_batch=True)
              .groupby(["event_type", "day"]).sum("c"))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "day": batch.column("day"),
-            "c": batch.column("sum(c)").cast(pa.int64()),
-            "_g": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-        })
-
     def finalize(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type"))
         day = np.asarray(group.column("day"), dtype=np.int64)
-        cnt = np.asarray(group.column("c"), dtype=np.int64)
+        cnt = np.asarray(group.column("sum(c)"), dtype=np.int64)
         types = sorted(set(et.tolist()))
         out = {"type_a": [], "type_b": [], "lag": [], "n": [],
                "sxy": [], "xcorr": []}
@@ -3923,9 +3953,7 @@ def a29_xcorr_volumes(sf_dir: str, lags: tuple = (0, 1, 2, 3, 7)):
             "xcorr": pa.array(out["xcorr"], type=pa.float64()),
         })
 
-    return (daily.map_batches(tag, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .groupby("_g").map_groups(finalize, batch_format="pyarrow"))
+    return daily.repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- T13 ----
@@ -4327,24 +4355,7 @@ def a35_seasonal_energy(sf_dir: str):
     (types x span-days)-bounded key -> a per-TYPE finalize (bounded
     groups) holding only the daily grid.  Powers are the three pinned
     float ops on exact-int Fourier sums."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -4389,24 +4400,7 @@ def a36_rescaled_range(sf_dir: str):
 
     Scale shape: A35's — per-block (type, day) partials, one bounded
     exchange, a per-TYPE finalize holding only the daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -4631,24 +4625,7 @@ def a37_pettitt(sf_dir: str):
     Scale shape: A35/A36's — per-block (type, day) sum partials, one
     exchange on the (types x span-days)-bounded key, per-TYPE finalize
     holding only the daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -5109,24 +5086,7 @@ def a38_mann_whitney(sf_dir: str):
 
     Scale shape: A35-family — per-block (type, day) partials, one
     bounded exchange, per-TYPE finalize over the daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -5181,24 +5141,7 @@ def a39_bartels_rvn(sf_dir: str):
     cancels in RVN = float(NUM2) / float(DEN2) — one pinned division.
 
     Scale shape: A35-family bounded daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -5406,24 +5349,7 @@ def a41_variance_ratio(sf_dir: str):
     fixed association order the SQL replays.
 
     Scale shape: A35-family bounded daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -5468,24 +5394,7 @@ def a42_seasonal_mk(sf_dir: str):
 
     Scale shape: A35-family bounded daily grid — the O(g^2) pair work
     happens on per-phase series of length ~span/7, driver-free."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -5808,24 +5717,7 @@ def a43_cox_stuart(sf_dir: str):
     pairs is two pinned float ops.
 
     Scale shape: A35-family bounded daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -6044,24 +5936,7 @@ def a44_arch_effect(sf_dir: str):
     float(num) / (sqrt(float(v1)) * sqrt(float(v2))).
 
     Scale shape: A35-family bounded daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -6211,24 +6086,7 @@ def a45_turning_point_test(sf_dir: str):
     operand an exact int cast once.
 
     Scale shape: A35-family bounded daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -6540,24 +6398,7 @@ def a47_hurst_aggvar(sf_dir: str):
     (ln(v4) - ln(v1)) / (4.0 * ln(2.0)) both sides.
 
     Scale shape: A35-family bounded daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -6614,24 +6455,7 @@ def a48_seasonal_strength(sf_dir: str):
     Fs is one pinned division inside max(0, 1 - r).
 
     Scale shape: A35-family bounded daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -6689,24 +6513,7 @@ def a49_brown_forsythe(sf_dir: str):
     int->double division (the doubling cancels).
 
     Scale shape: A35-family bounded daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -6823,9 +6630,6 @@ def c6_tpch_q5_like(sf_dir: str, region: str = "ASIA",
     nation (25) and region (5) relations broadcast into the final
     map.  Revenue cents are the C2/C3 pinned per-row
     floor(price*(1-disc)*100+0.5); sums exact int64."""
-    import pyarrow.compute as pc
-    import ray.data
-
     from anomalydetection_ray.stages.join import copartition_attach
 
     li = _read(sf_dir, "lineitem",
@@ -6876,8 +6680,7 @@ def c6_tpch_q5_like(sf_dir: str, region: str = "ASIA",
         sn = np.asarray(batch.column("s_nationkey").fill_null(-2),
                         dtype=np.int64)
         cents = np.asarray(batch.column("cents"), dtype=np.int64)
-        keep = (cn == sn) & np.asarray(
-            [int(v) in nk_in_region for v in cn.tolist()], dtype=bool)
+        keep = (cn == sn) & np.isin(cn, list(nk_in_region))
         names = [nk_in_region[int(v)] for v in cn[keep].tolist()]
         t = pa.table({"n_name": pa.array(names, type=pa.string()),
                       "cents": pa.array(cents[keep], type=pa.int64()),
@@ -7175,34 +6978,7 @@ def w41_daily_type_corr(sf_dir: str):
     Scale shape: per-block (type, day) count partials, ONE bounded
     exchange (types x days), final single-group widen over the bounded
     grid."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
-    tagged = counts.map_batches(tag, batch_format="pyarrow")
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         import math
@@ -7245,8 +7021,7 @@ def w41_daily_type_corr(sf_dir: str):
                           from_pandas=True),
         })
 
-    return tagged.groupby("_one").map_groups(widen,
-                                             batch_format="pyarrow")
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G31 ----
@@ -7265,32 +7040,7 @@ def g31_dispersion_index(sf_dir: str):
 
     Scale shape: per-block (type, day) count partials, ONE bounded
     exchange, single-group widen over the bounded grid."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -7317,8 +7067,7 @@ def g31_dispersion_index(sf_dir: str):
                                    from_pandas=True),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G33 ----
@@ -7361,10 +7110,6 @@ def g33_cramers_v(sf_dir: str):
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def widen(group: pa.Table) -> pa.Table:
         t = (group.group_by(["event_type", "dow"])
              .aggregate([("n", "sum")])
@@ -7398,8 +7143,7 @@ def g33_cramers_v(sf_dir: str):
                                   from_pandas=True),
         })
 
-    return (partials.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return partials.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- W42 ----
@@ -7501,32 +7245,7 @@ def g34_daily_quantile_band(sf_dir: str):
     widen (one sort of each type's bounded count vector)."""
     import math
 
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -7558,8 +7277,7 @@ def g34_daily_quantile_band(sf_dir: str):
             "p90": pa.array(out["p90"], type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G35 ----
@@ -7848,32 +7566,7 @@ def w44_daily_acf1(sf_dir: str):
 
     Scale shape: the bounded (type, day) count exchange + single-group
     widen."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -7908,8 +7601,7 @@ def w44_daily_acf1(sf_dir: str):
                              from_pandas=True),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- A63 ----
@@ -7933,24 +7625,7 @@ def a63_kpss(sf_dir: str):
     bounded exchange, a per-TYPE finalize holding only the daily grid."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -8055,32 +7730,7 @@ def g38_daily_gini(sf_dir: str):
     tied block's weight sum is position-set-invariant).  num/den are
     exact int64; gini is ONE pinned division.  d is W44's global day
     span (one bounded exchange, single-group widen)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -8114,8 +7764,7 @@ def g38_daily_gini(sf_dir: str):
                              from_pandas=True),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G39 ----
@@ -8249,32 +7898,7 @@ def g40_kendall_daily(sf_dir: str):
     never with corpus size)."""
     import math
 
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -8329,8 +7953,7 @@ def g40_kendall_daily(sf_dir: str):
                               from_pandas=True),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G41 ----
@@ -8375,10 +7998,6 @@ def g41_ks_two_types(sf_dir: str, type_a: str = "error",
               .groupby(["event_type", "v100"])
               .aggregate(Sum("c", alias_name="c")))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def widen(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type").to_pylist(),
                         dtype=object)
@@ -8409,8 +8028,7 @@ def g41_ks_two_types(sf_dir: str, type_a: str = "error",
             "ks": pa.array([ks], type=pa.float64(), from_pandas=True),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- J19 ----
@@ -8526,25 +8144,7 @@ def a68_von_neumann(sf_dir: str):
     exchange, per-type finalize over the daily grid."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -8603,10 +8203,6 @@ def q24_temperature_mixture(sf_dir: str):
                              zero_copy_batch=True)
               .groupby("source").aggregate(Sum("n", alias_name="n")))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def widen(group: pa.Table) -> pa.Table:
         src = group.column("source").to_pylist()
         n = [int(v) for v in group.column("n").to_pylist()]
@@ -8625,8 +8221,7 @@ def q24_temperature_mixture(sf_dir: str):
                               type=pa.float64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- W47 ----
@@ -8646,32 +8241,7 @@ def w47_burst_runs(sf_dir: str):
 
     Scale shape: W44's bounded (type, day) count exchange +
     single-group widen."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type").to_pylist(),
@@ -8710,8 +8280,7 @@ def w47_burst_runs(sf_dir: str):
                                     type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- A69 ----
@@ -8735,25 +8304,7 @@ def a69_jarque_bera(sf_dir: str):
     finalize."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -8808,34 +8359,10 @@ def w49_weekday_strength(sf_dir: str):
 
     Scale shape: W44's bounded (type, day) exchange + single-group
     widen over the bounded grid."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type").to_pylist(),
@@ -8877,8 +8404,7 @@ def w49_weekday_strength(sf_dir: str):
                                  from_pandas=True),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- W50 ----
@@ -8932,7 +8458,6 @@ def w50_tenure_activity_corr(sf_dir: str):
              // HOUR_US)
         y = np.asarray(batch.column("n"), dtype=np.int64)
         return pa.table({
-            "_one": pa.array([0], type=pa.int64()),
             "nu": pa.array([x.shape[0]], type=pa.int64()),
             "sx": pa.array([int(x.sum())], type=pa.int64()),
             "sy": pa.array([int(y.sum())], type=pa.int64()),
@@ -8962,8 +8487,7 @@ def w50_tenure_activity_corr(sf_dir: str):
             "r": pa.array([r], type=pa.float64(), from_pandas=True),
         })
 
-    return parts.groupby("_one").map_groups(finalize,
-                                            batch_format="pyarrow")
+    return parts.repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- A70 ----
@@ -8985,25 +8509,7 @@ def a70_df_slope(sf_dir: str):
     finalize."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -9052,25 +8558,7 @@ def w51_robust_volatility(sf_dir: str):
 
     Scale shape: A36's bounded (type, day) exchange + per-type
     finalize over the daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -9120,25 +8608,7 @@ def a71_daily_mad_outliers(sf_dir: str):
 
     Scale shape: A36's bounded (type, day) exchange + per-type
     finalize."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -9245,10 +8715,6 @@ def q25_waterfill_allocation(sf_dir: str):
                              zero_copy_batch=True)
               .groupby("source").aggregate(Sum("n", alias_name="n")))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def widen(group: pa.Table) -> pa.Table:
         src = group.column("source").to_pylist()
         n = [int(v) for v in group.column("n").to_pylist()]
@@ -9283,8 +8749,7 @@ def q25_waterfill_allocation(sf_dir: str):
             "leftover": pa.array([leftover] * m, type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G43 ----
@@ -9743,34 +9208,10 @@ def w57_burstiness(sf_dir: str):
 
     Scale shape: per-block (type, day) count partials, ONE bounded
     exchange, single-group widen over the bounded grid (G31's shape)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         import math
@@ -9804,8 +9245,7 @@ def w57_burstiness(sf_dir: str):
                                    from_pandas=True),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G47 ----
@@ -9822,28 +9262,7 @@ def g47_outlier_days(sf_dir: str):
 
     Scale shape: per-block (type, day) count partials, ONE bounded
     exchange, per-type finalize over <= grid-days rows."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    DAY_US = 86_400_000_000
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // DAY_US, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
+    counts = _daily_counts(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -10339,26 +9758,7 @@ def c10_detector_agreement(sf_dir: str):
     finalize over <= grid-days rows."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
+    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -10471,35 +9871,10 @@ def a97_daily_mase(sf_dir: str):
 
     Scale shape: G31's bounded (type, day) exchange, single-group
     widen over the bounded grid."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    daily = _daily_cents(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -10537,8 +9912,7 @@ def a97_daily_mase(sf_dir: str):
                              from_pandas=True),
         })
 
-    return (daily.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return daily.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- S25 ----
@@ -10692,32 +10066,7 @@ def g53_longest_drought(sf_dir: str):
 
     Scale shape: G31's bounded (type, day) exchange; the zero-run
     scan happens on the bounded dense grid in a single-group widen."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -10750,8 +10099,7 @@ def g53_longest_drought(sf_dir: str):
             "longest_drought": pa.array(out_l, type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- S26 ----
@@ -11129,35 +10477,9 @@ def w63_weekend_effect(sf_dir: str):
     tiny exchange, single-group widen."""
     import math
 
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    daily = _daily_cents(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -11207,8 +10529,7 @@ def w63_weekend_effect(sf_dir: str):
                                 from_pandas=True),
         })
 
-    return (daily.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return daily.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G56 ----
@@ -11238,10 +10559,6 @@ def g56_source_pareto(sf_dir: str):
                              zero_copy_batch=True)
               .groupby("source").sum("n_docs"))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def finalize(group: pa.Table) -> pa.Table:
         src = np.asarray(group.column("source"))
         n = np.asarray(group.column("sum(n_docs)"), dtype=np.int64)
@@ -11264,9 +10581,7 @@ def g56_source_pareto(sf_dir: str):
             "cum_share": pa.array(cshare, type=pa.float64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(finalize,
-                                        batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G58 ----
@@ -11454,34 +10769,10 @@ def a98_arrival_uniformity(sf_dir: str):
 
     Scale shape: G31's bounded (type, day) exchange; dense-grid scan
     in the single-group widen."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -11518,8 +10809,7 @@ def a98_arrival_uniformity(sf_dir: str):
                              from_pandas=True),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- M10 ----
@@ -11654,10 +10944,6 @@ def q36_hamilton_allocation(sf_dir: str, sample_size: int = 1000):
                              zero_copy_batch=True)
               .groupby("source").sum("n_docs"))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def finalize(group: pa.Table) -> pa.Table:
         src = np.asarray(group.column("source"))
         n = np.asarray(group.column("sum(n_docs)"), dtype=np.int64)
@@ -11682,9 +10968,7 @@ def q36_hamilton_allocation(sf_dir: str, sample_size: int = 1000):
             "alloc": pa.array(base + extra, type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(finalize,
-                                        batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- W66 ----
@@ -11699,32 +10983,7 @@ def w66_trailing_bursts(sf_dir: str):
 
     Scale shape: G31's bounded (type, day) exchange; trailing sums
     via one cumsum on the bounded dense grid."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -11772,8 +11031,7 @@ def w66_trailing_bursts(sf_dir: str):
                                       type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- G60 ----
@@ -11854,35 +11112,10 @@ def a99_xmr_chart(sf_dir: str):
 
     Scale shape: G31's bounded (type, day) exchange; dense-grid scan
     in the single-group widen."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    daily = _daily_cents(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -11923,8 +11156,7 @@ def a99_xmr_chart(sf_dir: str):
             "n_out": pa.array(out["n_out"], type=pa.int64()),
         })
 
-    return (daily.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return daily.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- W67 ----
@@ -11947,34 +11179,9 @@ def w67_lead_lag(sf_dir: str, max_shift: int = 7):
     sweep runs on bounded dense grids in the single-group widen."""
     import math
 
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"])
-              .aggregate(Sum("n", alias_name="n")))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -12035,8 +11242,7 @@ def w67_lead_lag(sf_dir: str, max_shift: int = 7):
             "r_best": pa.array(out["r_best"], type=pa.float64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- S29 ----
@@ -12221,35 +11427,10 @@ def a100_today_rank(sf_dir: str):
 
     Scale shape: G31's bounded (type, day) exchange, single-group
     widen."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x"))
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
+    daily = _daily_cents(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -12285,8 +11466,7 @@ def a100_today_rank(sf_dir: str):
             "pct_rank": pa.array(out["pct_rank"], type=pa.float64()),
         })
 
-    return (daily.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return daily.repartition(1).map_batches(widen, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- E8 ----
@@ -12416,10 +11596,6 @@ def _key_skew(ds, col: str, key_name: str):
     counts = (sizes.map_batches(hist, batch_format="pyarrow")
               .groupby("size").sum("n"))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def finalize(group: pa.Table) -> pa.Table:
         order = np.argsort(np.asarray(group.column("size"),
                                       dtype=np.int64))
@@ -12445,9 +11621,7 @@ def _key_skew(ds, col: str, key_name: str):
             "p99_group": pa.array([p99], type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(finalize,
-                                        batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
 def s30_skew_report(sf_dir: str):

@@ -577,13 +577,9 @@ def t12_source_vocab_jaccard(sf_dir: str, num_partitions: int = 16):
     partials = tagged.groupby(PKEY).map_groups(pair_kernel,
                                                batch_format="pyarrow")
 
-    def tag_all(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_g", pa.array([0] * batch.num_rows,
-                                                  type=pa.int64()))
-
     def finish(group: pa.Table) -> pa.Table:
-        t = (group.drop_columns(["_g"])
-             .group_by(["source_a", "source_b"]).aggregate([("cnt", "sum")]))
+        t = group.group_by(["source_a", "source_b"]).aggregate(
+            [("cnt", "sum")])
         sa = t.column("source_a").to_pylist()
         sb = t.column("source_b").to_pylist()
         cnt = np.asarray(t.column("cnt_sum"), dtype=np.int64)
@@ -610,8 +606,7 @@ def t12_source_vocab_jaccard(sf_dir: str, num_partitions: int = 16):
             "jaccard": pa.array(out["jaccard"], type=pa.float64()),
         })
 
-    return (partials.map_batches(tag_all, batch_format="pyarrow")
-            .groupby("_g").map_groups(finish, batch_format="pyarrow"))
+    return partials.repartition(1).map_batches(finish, batch_format="pyarrow")
 
 
 def _tok_count_partial(batch: pa.Table) -> pa.Table:
@@ -1379,10 +1374,6 @@ def v26_heaps_exponent(sf_dir: str):
     sums = (counts.map_batches(per_source, batch_format="pyarrow")
             .groupby("source").sum(["n_words", "n_types"]))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def finalize(group: pa.Table) -> pa.Table:
         src = np.asarray(group.column("source"))
         nw = np.asarray(group.column("sum(n_words)"), dtype=np.int64)
@@ -1416,9 +1407,7 @@ def v26_heaps_exponent(sf_dir: str):
                               from_pandas=True),
         })
 
-    return (sums.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(finalize,
-                                        batch_format="pyarrow"))
+    return sums.repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
 def v27_word_length_profile(sf_dir: str, long_len: int = 7):

@@ -1370,8 +1370,7 @@ def _lift_final(group: pa.Table) -> pa.Table:
     """Single tiny final group: sum partials, then ``lift = (co * n) /
     (count_a * count_b)`` — both products exact int64, ONE pinned float
     division."""
-    t = (group.drop_columns(["_g"])
-         .group_by(["type_a", "type_b"]).aggregate([("cnt", "sum")]))
+    t = group.group_by(["type_a", "type_b"]).aggregate([("cnt", "sum")])
     ta = t.column("type_a").to_pylist()
     tb = t.column("type_b").to_pylist()
     cnt = np.asarray(t.column("cnt_sum"), dtype=np.int64)
@@ -1427,12 +1426,8 @@ def w17_cooccurrence_lift(sf_dir: str, num_partitions: int = 16):
     partials = tagged.groupby(PKEY).map_groups(_basket_kernel,
                                                batch_format="pyarrow")
 
-    def tag_all(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_g", pa.array([0] * batch.num_rows,
-                                                  type=pa.int64()))
-
-    return (partials.map_batches(tag_all, batch_format="pyarrow")
-            .groupby("_g").map_groups(_lift_final, batch_format="pyarrow"))
+    return partials.repartition(1).map_batches(_lift_final,
+                                               batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- W18 ----
@@ -3692,10 +3687,6 @@ def w59_stickiness(sf_dir: str, num_partitions: int = 16):
         _stickiness_kernel, batch_format="pyarrow")
         .groupby("day").sum(["dau", "wdelta"]))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def finalize(group: pa.Table) -> pa.Table:
         day = np.asarray(group.column("day"), dtype=np.int64)
         dau = np.asarray(group.column("sum(dau)"), dtype=np.int64)
@@ -3727,9 +3718,8 @@ def w59_stickiness(sf_dir: str, num_partitions: int = 16):
                                    mask=~ok),
         })
 
-    return (partials.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(finalize,
-                                        batch_format="pyarrow"))
+    return partials.repartition(1).map_batches(finalize,
+                                               batch_format="pyarrow")
 
 
 def w61_second_order_entropy(sf_dir: str, num_partitions: int = 16):
@@ -3876,10 +3866,6 @@ def w62_session_length_quartiles(sf_dir: str):
                                zero_copy_batch=True)
               .groupby("len").sum("c"))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def finalize(group: pa.Table) -> pa.Table:
         order = np.argsort(np.asarray(group.column("len"),
                                       dtype=np.int64))
@@ -3897,9 +3883,7 @@ def w62_session_length_quartiles(sf_dir: str):
             "max_len": pa.array([int(v[-1])], type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(finalize,
-                                        batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
 def _persistence_kernel(group: pa.Table) -> pa.Table:
@@ -4035,10 +4019,6 @@ def g57_type_user_jaccard(sf_dir: str, num_partitions: int = 16):
         batch_format="pyarrow")
         .groupby("mask").sum("n_users"))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def finalize(group: pa.Table) -> pa.Table:
         m = np.asarray(group.column("mask"), dtype=np.int64)
         n = np.asarray(group.column("sum(n_users)"), dtype=np.int64)
@@ -4069,9 +4049,7 @@ def g57_type_user_jaccard(sf_dir: str, num_partitions: int = 16):
                                 from_pandas=True),
         })
 
-    return (masks.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(finalize,
-                                        batch_format="pyarrow"))
+    return masks.repartition(1).map_batches(finalize, batch_format="pyarrow")
 
 
 def _action_run_kernel(group: pa.Table) -> pa.Table:
@@ -4235,10 +4213,6 @@ def w68_growth_accounting(sf_dir: str, num_partitions: int = 16):
         _growth_kernel, batch_format="pyarrow")
         .groupby(["week", "kind"]).sum("n"))
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_one", pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     def widen(group: pa.Table) -> pa.Table:
         wk = np.asarray(group.column("week"), dtype=np.int64)
         kind = np.asarray(group.column("kind"), dtype=np.int64)
@@ -4259,5 +4233,4 @@ def w68_growth_accounting(sf_dir: str, num_partitions: int = 16):
                                  type=pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("_one").map_groups(widen, batch_format="pyarrow"))
+    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")

@@ -15,7 +15,6 @@ import numpy as np
 import pyarrow as pa
 
 from anomalydetection_ray.constants import DEFAULT_VOCAB
-from anomalydetection_ray.sources.fixtures import SEQUENCES_SCHEMA
 
 _SOURCES = np.array(["web", "books", "code", "news"])
 _SOURCE_CUM = np.array([0.80, 0.90, 0.95, 1.0])
@@ -53,34 +52,3 @@ def synth_batch(ids: np.ndarray, seed: int = 42, mean_len: int = 3000) -> pa.Tab
             "source": pa.array([r["source"] for r in rows], type=pa.string()),
         }
     )
-
-
-def synth_sequences(n_docs: int, seed: int = 42, mean_len: int = 3000, parallelism: int = -1):
-    """Distributed deterministic source: ray.data.range -> map_batches(gen).
-
-    ~n_docs * mean_len tokens total; identical bytes for any parallelism."""
-    import ray.data
-
-    def gen(batch: pa.Table) -> pa.Table:
-        return synth_batch(np.asarray(batch.column("id")), seed=seed, mean_len=mean_len)
-
-    ds = ray.data.range(n_docs, override_num_blocks=parallelism if parallelism > 0 else None)
-    return ds.map_batches(gen, batch_format="pyarrow", batch_size=2048)
-
-
-def write_synth_parquet(path: str, n_docs: int, seed: int = 42, mean_len: int = 3000,
-                        rows_per_file: int = 20_000) -> None:
-    """Single-process deterministic writer (for bench input fixed on disk;
-    identical bytes for both CPU levels per BASELINE.md protocol)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    os.makedirs(path, exist_ok=True)
-    k = 0
-    for lo in range(0, n_docs, rows_per_file):
-        ids = np.arange(lo, min(lo + rows_per_file, n_docs))
-        tbl = synth_batch(ids, seed=seed, mean_len=mean_len)
-        pq.write_table(tbl, os.path.join(path, f"part-{k:05d}.parquet"),
-                       row_group_size=2048)
-        k += 1

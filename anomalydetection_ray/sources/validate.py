@@ -95,21 +95,3 @@ def validate_batch(batch: pa.Table, max_part: int = MAX_TOKENS_PER_PART) -> pa.T
             "tokens": list_arr,
         }
     )
-
-
-def validation_report(batch: pa.Table) -> pa.Table:
-    """Per-batch validation metrics (rows whose declared n_tok lied, null
-    token rows) — aggregated by the s3 query; does not mutate data."""
-    tokens = _tokens_as_list_array(batch.column("tokens"))
-    offsets = np.asarray(tokens.offsets, dtype=np.int64)
-    lens = np.diff(offsets)
-    declared = np.asarray(batch.column("n_tok"), dtype=np.int64)
-    n_bad = int((declared != lens).sum())
-    n_null_rows = int(batch.column("tokens").null_count)
-    return pa.table(
-        {
-            "rows": pa.array([batch.num_rows], type=pa.int64()),
-            "repaired_n_tok": pa.array([n_bad], type=pa.int64()),
-            "null_token_rows": pa.array([n_null_rows], type=pa.int64()),
-        }
-    )

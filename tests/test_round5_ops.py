@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -4712,3 +4713,42 @@ def test_q38_diverse_topk_bruteforce(ray_session):
     assert sorted(got["event_id"]) == sorted(want_ids)
     assert got["event_type"].value_counts().max() <= 2
     assert len(got) == 10
+
+
+# ------------------------------------------- daily series: input layout ----
+# One query per family (daily cent totals, daily counts, partition-kernel
+# pipeline); each ends in a one-block finalize.
+DAILY_QUERIES = ["a99_xmr_chart", "g38_daily_gini", "w59_stickiness"]
+
+
+def _sorted_frame(ds):
+    df = ds.to_pandas()
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("name", DAILY_QUERIES)
+def test_daily_series_empty_events(ray_session, tmp_path, name):
+    import __ray_entry__ as e
+
+    ev = pq.read_table(f"{SF}/events.parquet")
+    pq.write_table(ev.slice(0, 0), str(tmp_path / "events.parquet"))
+    assert e.queries()[name](str(tmp_path)).take_all() == []
+
+
+@pytest.mark.parametrize("name", DAILY_QUERIES)
+def test_daily_series_split_events(ray_session, tmp_path, name):
+    import pandas as pd
+
+    import __ray_entry__ as e
+
+    ev = pq.read_table(f"{SF}/events.parquet")
+    parts = tmp_path / "events.parquet"
+    parts.mkdir()
+    step = -(-ev.num_rows // 8)
+    for i in range(8):
+        pq.write_table(ev.slice(i * step, step),
+                       str(parts / f"part-{i}.parquet"), row_group_size=64)
+    want = _sorted_frame(e.queries()[name](SF))
+    got = _sorted_frame(e.queries()[name](str(tmp_path)))
+    assert len(want) > 0
+    pd.testing.assert_frame_equal(got, want)
