@@ -20,7 +20,7 @@ import functools
 
 import pyarrow as pa
 
-from anomalydetection_ray.pipelines.rollup import validated
+from anomalydetection_ray.pipelines.rollup import read_committed, validated
 from anomalydetection_ray.stages.encode import EncodePartition, assign_partition, decode_batch
 from anomalydetection_ray.state.manifest import finished_part_ids, manifest_table
 
@@ -81,13 +81,16 @@ def ingest_persist(
 ):
     """Resumable P2 without a shuffle (the 100-TB path): the encoder
     partition = a deterministic footer-planned read unit, so no byte of
-    token data ever crosses the wire — each fused task reads its
-    row-group ranges, validates/splits, encodes (Gorilla + a
+    token data ever crosses the wire.  Each task takes one CPU slot's share
+    of the units (``slot_blocks``) and handles them one at a time: it reads
+    a unit's row-group ranges, validates/splits, encodes (Gorilla + a
     partition-local DoD n_tok stream), writes
-    ``out_dir/tier0/unit=<k>/data.parquet`` atomically and commits a
-    manifest row.  Use ``ingest_pipeline`` instead when rows must be
-    co-located by doc_id hash (its groupby shuffle moves all data and is
-    ~10x more expensive; SURVEY.md §4 skew notes apply there)."""
+    ``out_dir/tier0/unit=<k>/data.parquet`` atomically and commits the
+    unit's manifest row before starting the next unit, so peak memory is
+    one unit per task and a failed task keeps its committed units.  Use
+    ``ingest_pipeline`` instead when rows must be co-located by doc_id hash
+    (its groupby shuffle moves all data and is ~10x more expensive;
+    SURVEY.md §4 skew notes apply there)."""
     import os as _os
     import time as _time
 
@@ -100,6 +103,8 @@ def ingest_persist(
         pack_read_units,
         plan_read_units,
         read_packed_units,
+        slot_blocks,
+        write_unit,
     )
     from anomalydetection_ray.sources.validate import validate_batch
     from anomalydetection_ray.stages.encode import SUMMARY_SCHEMA, encode_rows
@@ -115,24 +120,17 @@ def ingest_persist(
     if not packed:
         return ray.data.from_arrow(SUMMARY_SCHEMA.empty_table())
 
-    def process(batch) -> pa.Table:
-        import pyarrow.parquet as pq
-
+    def process(batch: pa.Table) -> pa.Table:
         out = {n: [] for n in SUMMARY_SCHEMA.names}
-        for uid, paths, rga, rgb in zip(
-            batch["unit_id"], batch["path"], batch["rg_start"], batch["rg_end"]
-        ):
+        for u in batch.to_pylist():
+            uid, paths, rga, rgb = u["unit_id"], u["path"], u["rg_start"], u["rg_end"]
             t0 = _time.monotonic()
             raw = read_packed_units(
                 {"path": [paths], "rg_start": [rga], "rg_end": [rgb]}, SEQUENCE_COLUMNS
             )
             v = validate_batch(raw)
             tier0, dod = encode_rows(v)
-            udir = _os.path.join(out_dir, "tier0", f"unit={uid:06d}")
-            _os.makedirs(udir, exist_ok=True)
-            tmp = _os.path.join(udir, ".tmp-data.parquet")
-            pq.write_table(tier0, tmp)
-            _os.replace(tmp, _os.path.join(udir, "data.parquet"))
+            write_unit(tier0, _os.path.join(out_dir, "tier0", f"unit={uid:06d}"))
             import numpy as _np
 
             tokens = int(_np.asarray(tier0.column("n_tok"), dtype=_np.int64).sum())
@@ -166,15 +164,13 @@ def ingest_persist(
             {n: pa.array(out[n], type=SUMMARY_SCHEMA.field(n).type) for n in SUMMARY_SCHEMA.names}
         )
 
-    ds = ray.data.from_items(packed, override_num_blocks=len(packed))
-    return ds.map_batches(process, batch_size=None, batch_format="pandas", num_cpus=num_cpus)
+    ds = ray.data.from_items(packed, override_num_blocks=slot_blocks(len(packed), num_cpus))
+    return ds.map_batches(process, batch_size=None, batch_format="pyarrow", num_cpus=num_cpus)
 
 
 def read_tier0(out_dir: str):
     """Read the committed tier0 partitions back as a Dataset."""
-    import ray.data
-
-    return ray.data.read_parquet(f"{out_dir}/tier0")
+    return read_committed(f"{out_dir}/tier0")
 
 
 def verify_tier0(out_dir: str):

@@ -43,9 +43,6 @@ def read_sequences(path: str, override_num_blocks: int | None = None,
     reads) is how the read should be laid out anyway.  ``fast=False``
     falls back to `ray.data.read_parquet`.
     """
-    import glob as _glob
-    import os
-
     import ray.data
 
     cols = columns or SEQUENCE_COLUMNS
@@ -56,14 +53,15 @@ def read_sequences(path: str, override_num_blocks: int | None = None,
     units = plan_read_units(path)
     packed = pack_read_units(units, override_num_blocks)
 
-    def read_unit_rows(batch) -> "pa.Table":
-        return read_packed_units(batch, cols)
+    def read_unit_rows(batch: pa.Table) -> pa.Table:
+        return read_packed_units(batch.to_pydict(), cols)
 
     # one block per read unit and batch_size=None everywhere downstream, so
     # the streaming executor fuses read -> validate -> rollup into a single
-    # task: token blocks never round-trip through the object store.
+    # task: token blocks never round-trip through the object store.  (Not
+    # slot_blocks: packing units here would make the token blocks bigger.)
     ds = ray.data.from_items(packed, override_num_blocks=len(packed))
-    return ds.map_batches(read_unit_rows, batch_size=None, batch_format="pandas",
+    return ds.map_batches(read_unit_rows, batch_size=None, batch_format="pyarrow",
                           num_cpus=num_cpus)
 
 
@@ -116,6 +114,51 @@ def pack_read_units(units: list[dict], override_num_blocks: int | None) -> list[
         }
         for k, g in enumerate(groups)
     ]
+
+
+def slot_blocks(n_units: int, num_cpus: float = 1) -> int:
+    """Ray Data blocks for ``n_units`` per-unit tasks of ``num_cpus`` each:
+    one per CPU slot of the running cluster, ``min(n_units, CPU //
+    num_cpus)`` with a floor of 1.  Each Ray Data block costs a fixed
+    scheduling cycle (~25 ms measured on one core), so a block per unit
+    pays it once per unit while only the slots can run at once.  Without a
+    Ray session (the engine never starts one) it stays one block per unit."""
+    import ray
+
+    if not ray.is_initialized():
+        return n_units
+    slots = int(ray.cluster_resources().get("CPU", 0) // num_cpus)
+    return max(1, min(n_units, slots))
+
+
+def read_committed(root: str):
+    """Read the committed ``root/unit=<k>/data.parquet`` files of a persist
+    run back as a Dataset, in ``slot_blocks`` read tasks."""
+    import glob
+    import os
+
+    import ray.data
+
+    n = len(glob.glob(os.path.join(root, "*", "*.parquet")))
+    return ray.data.read_parquet(root, override_num_blocks=slot_blocks(n))
+
+
+def write_unit(table: pa.Table, udir: str) -> None:
+    """Atomically write one unit's ``udir/data.parquet`` (tmp + rename); a
+    write that fails or is interrupted (task cancelled) leaves no tmp."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    os.makedirs(udir, exist_ok=True)
+    tmp = os.path.join(udir, ".tmp-data.parquet")
+    try:
+        pq.write_table(table, tmp)
+        os.replace(tmp, os.path.join(udir, "data.parquet"))
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_packed_units(batch, cols: list[str]) -> pa.Table:
@@ -199,12 +242,16 @@ def rollup_persist(
 ):
     """Resumable P1: per-read-unit tier output + atomic manifest, NO shuffle.
 
-    Each fused task reads its row-group ranges, validates, rolls up, writes
-    ``out_dir/tiers/unit=<k>/data.parquet`` atomically and commits a
-    manifest row (unit_id as the partition key; lineage = the input
-    row-group ranges).  ``resume=True`` skips committed units before any
-    read happens — the deterministic footer plan makes unit ids stable.
-    Returns the per-unit summary Dataset (consume to execute)."""
+    Each task takes one CPU slot's share of the read units (``slot_blocks``)
+    and handles them one at a time: it reads a unit's row-group ranges,
+    validates, rolls up, writes ``out_dir/tiers/unit=<k>/data.parquet``
+    atomically and commits the unit's manifest row (unit_id as the
+    partition key; lineage = the input row-group ranges) before starting
+    the next unit.  So peak memory is one unit per task, and a task that
+    fails keeps the units it committed before the failure.  ``resume=True``
+    skips committed units before any read happens — the deterministic
+    footer plan makes unit ids stable.  Returns the per-unit summary
+    Dataset (consume to execute)."""
     import os as _os
     import time as _time
 
@@ -228,24 +275,20 @@ def rollup_persist(
                        "tiers_checksum": _pa.array([], type=_pa.string())})
         )
 
-    def process(batch) -> pa.Table:
-        import pyarrow.parquet as pq
+    def process(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
 
         out_rows = {"unit_id": [], "rows_emitted": [], "tokens_processed": [],
                     "tiers_checksum": []}
-        for uid, paths, rga, rgb in zip(batch["unit_id"], batch["path"],
-                                        batch["rg_start"], batch["rg_end"]):
+        for u in batch.to_pylist():
+            uid, paths, rga, rgb = u["unit_id"], u["path"], u["rg_start"], u["rg_end"]
             t0 = _time.monotonic()
-            one = {"path": paths, "rg_start": rga, "rg_end": rgb}
-            raw = read_packed_units({k: [v] for k, v in one.items()}, SEQUENCE_COLUMNS)
+            raw = read_packed_units({"path": [paths], "rg_start": [rga], "rg_end": [rgb]},
+                                    SEQUENCE_COLUMNS)
             v = validate_batch(raw)
             tiers = rollup_batch(v, policy=policy)
-            udir = _os.path.join(out_dir, "tiers", f"unit={uid:06d}")
-            _os.makedirs(udir, exist_ok=True)
-            tmp = _os.path.join(udir, ".tmp-data.parquet")
-            pq.write_table(tiers, tmp)
-            _os.replace(tmp, _os.path.join(udir, "data.parquet"))
-            tokens = int(sum(int(x) for x in v.column("n_tok").to_pylist()))
+            write_unit(tiers, _os.path.join(out_dir, "tiers", f"unit={uid:06d}"))
+            tokens = int(pc.sum(v.column("n_tok")).as_py() or 0)
             csum = tiers_checksum(tiers)
             write_manifest_row(
                 out_dir,
@@ -272,15 +315,13 @@ def rollup_persist(
             }
         )
 
-    ds = ray.data.from_items(packed, override_num_blocks=len(packed))
-    return ds.map_batches(process, batch_size=None, batch_format="pandas", num_cpus=num_cpus)
+    ds = ray.data.from_items(packed, override_num_blocks=slot_blocks(len(packed), num_cpus))
+    return ds.map_batches(process, batch_size=None, batch_format="pyarrow", num_cpus=num_cpus)
 
 
 def read_tiers(out_dir: str, tier: int | None = None):
     """Read committed rollup tiers back as a Dataset."""
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{out_dir}/tiers")
+    ds = read_committed(f"{out_dir}/tiers")
     if tier is not None:
         ds = ds.filter(expr=f"tier == {tier}")
     return ds

@@ -1,6 +1,7 @@
 """Resumable P1 (rollup_persist): kill/resume == single run, no shuffle."""
 
 import os
+import pathlib
 import shutil
 
 import pyarrow as pa
@@ -97,3 +98,73 @@ def test_persist_incremental_append(ray_session, tmp_path):
     assert a.sort_by(key).equals(b.sort_by(key))
     # third run over the unchanged input is a no-op
     assert rollup_persist(str(d), out, resume=True).take_all() == []
+
+
+def test_slot_blocks(ray_session, monkeypatch):
+    """One Ray Data block per CPU slot of the 4-CPU session, never more
+    than one per unit; one block per unit when no Ray session is up."""
+    import ray
+
+    from anomalydetection_ray.pipelines.rollup import slot_blocks
+
+    for n in (1, 2, 3, 4, 12):
+        assert slot_blocks(n, num_cpus=1) == min(n, 4)
+        assert slot_blocks(n, num_cpus=2) == min(n, 2)
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    assert [slot_blocks(n, num_cpus=1) for n in (1, 12)] == [1, 12]
+
+
+@pytest.fixture(scope="module")
+def twelve_files(tmp_path_factory):
+    tbl = fixture_table(include_giant=False)
+    d = tmp_path_factory.mktemp("seqs_twelve")
+    n = tbl.num_rows
+    for i in range(12):
+        lo, hi = i * n // 12, (i + 1) * n // 12
+        pq.write_table(tbl.slice(lo, hi - lo), d / f"f{i:03d}.parquet")
+    return str(d)
+
+
+def _unit_files(out, sub):
+    root = pathlib.Path(out, sub)
+    return {d.name: (d / "data.parquet").read_bytes() for d in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("sub", ["tiers", "tier0"])
+def test_persist_task_fails_partway(ray_session, twelve_files, tmp_path, sub):
+    """12 units on 4 one-CPU slots: each task commits 3 units one at a time.
+    A unit whose input vanished fails its task; the task's earlier unit
+    stays committed, no tmp file is left, and the resume redoes exactly
+    the units without a manifest, byte-identical to a fresh run."""
+    import ray
+
+    from anomalydetection_ray.pipelines.ingest import ingest_persist
+    from anomalydetection_ray.pipelines.rollup import rollup_persist
+    from anomalydetection_ray.state.manifest import finished_part_ids
+
+    run = {"tiers": rollup_persist, "tier0": ingest_persist}[sub]
+    id_col = {"tiers": "unit_id", "tier0": "part_id"}[sub]
+    fresh, out = str(tmp_path / "fresh"), str(tmp_path / "out")
+    run(twelve_files, fresh, resume=False, num_cpus=1).take_all()
+
+    ds = run(twelve_files, out, resume=False, num_cpus=1)
+    hidden = os.path.join(twelve_files, "f001.parquet")
+    os.rename(hidden, hidden + ".hidden")
+    try:
+        with pytest.raises(Exception):
+            ds.take_all()
+        # the failure cancels the other tasks without waiting for them:
+        # a task needing every CPU runs only once they have all stopped
+        barrier = ray.remote(num_cpus=ray.cluster_resources()["CPU"])(lambda: None)
+        ray.get(barrier.remote(), timeout=120)
+    finally:
+        os.rename(hidden + ".hidden", hidden)
+
+    left = [f for _, _, fs in os.walk(out) for f in fs if "tmp" in f]
+    assert left == []
+    committed = finished_part_ids(out)
+    assert 0 in committed and not {1, 2} & committed
+
+    redone = run(twelve_files, out, resume=True, num_cpus=1).take_all()
+    assert sorted(r[id_col] for r in redone) == sorted(set(range(12)) - committed)
+    assert _unit_files(out, sub) == _unit_files(fresh, sub)
