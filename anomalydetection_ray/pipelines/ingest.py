@@ -81,12 +81,12 @@ def ingest_persist(
 ):
     """Resumable P2 without a shuffle (the 100-TB path): the encoder
     partition = a deterministic footer-planned read unit, so no byte of
-    token data ever crosses the wire.  Each task takes one CPU slot's share
-    of the units (``slot_blocks``) and handles them one at a time: it reads
-    a unit's row-group ranges, validates/splits, encodes (Gorilla + a
+    token data ever crosses the wire.  Each task takes one ``slot_blocks``
+    block of units and handles them one at a time: it reads a unit's
+    row-group ranges, validates/splits, encodes (Gorilla + a
     partition-local DoD n_tok stream), writes
     ``out_dir/tier0/unit=<k>/data.parquet`` atomically and commits the
-    unit's manifest row before starting the next unit, so peak memory is
+    unit's manifest row before it reads the next unit, so peak memory is
     one unit per task and a failed task keeps its committed units.  Use
     ``ingest_pipeline`` instead when rows must be co-located by doc_id hash
     (its groupby shuffle moves all data and is ~10x more expensive;
@@ -94,78 +94,70 @@ def ingest_persist(
     import os as _os
     import time as _time
 
+    import numpy as np
+    import pyarrow.compute as pc
     import ray.data
 
     from anomalydetection_ray.codecs import state_hash
     from anomalydetection_ray.constants import ENGINE_VERSION
     from anomalydetection_ray.pipelines.rollup import (
+        _READ_TARGET_BYTES,
         SEQUENCE_COLUMNS,
+        block_units,
         pack_read_units,
         plan_read_units,
         read_packed_units,
-        slot_blocks,
+        slot_dataset,
         write_unit,
     )
     from anomalydetection_ray.sources.validate import validate_batch
     from anomalydetection_ray.stages.encode import SUMMARY_SCHEMA, encode_rows
     from anomalydetection_ray.state.manifest import finished_part_ids, write_manifest_row
 
-    units = plan_read_units(path) if target_unit_bytes is None else plan_read_units(
-        path, target_bytes=target_unit_bytes
-    )
-    packed = pack_read_units(units, override_num_blocks)
+    target = _READ_TARGET_BYTES if target_unit_bytes is None else target_unit_bytes
+    packed = pack_read_units(plan_read_units(path, target_bytes=target), override_num_blocks)
     if resume:
         done = finished_part_ids(out_dir)
         packed = [u for u in packed if u["unit_id"] not in done]
     if not packed:
         return ray.data.from_arrow(SUMMARY_SCHEMA.empty_table())
 
-    def process(batch: pa.Table) -> pa.Table:
-        out = {n: [] for n in SUMMARY_SCHEMA.names}
-        for u in batch.to_pylist():
-            uid, paths, rga, rgb = u["unit_id"], u["path"], u["rg_start"], u["rg_end"]
-            t0 = _time.monotonic()
-            raw = read_packed_units(
-                {"path": [paths], "rg_start": [rga], "rg_end": [rgb]}, SEQUENCE_COLUMNS
-            )
-            v = validate_batch(raw)
-            tier0, dod = encode_rows(v)
-            write_unit(tier0, _os.path.join(out_dir, "tier0", f"unit={uid:06d}"))
-            import numpy as _np
-
-            tokens = int(_np.asarray(tier0.column("n_tok"), dtype=_np.int64).sum())
-            import pyarrow.compute as _pc
-
-            enc_bytes = int(_pc.sum(_pc.binary_length(tier0.column("gorilla_xor"))).as_py() or 0)
-            sh = state_hash(dod)
-            wall = _time.monotonic() - t0
-            write_manifest_row(
-                out_dir,
-                {
-                    "part_id": int(uid),
-                    "input_fragments": [f"{p}:{a}-{b}" for p, a, b in zip(paths, rga, rgb)],
-                    "encoder_state_hash": sh,
-                    "rows_emitted": tier0.num_rows,
-                    "tokens_processed": tokens,
-                    "wall_s": wall,
-                    "engine_version": ENGINE_VERSION,
-                },
-            )
-            for k, val in (
-                ("part_id", int(uid)),
-                ("rows_emitted", tier0.num_rows),
-                ("tokens_processed", tokens),
-                ("encoded_bytes", enc_bytes),
-                ("encoder_state_hash", sh),
-                ("wall_s", wall),
-            ):
-                out[k].append(val)
-        return pa.table(
-            {n: pa.array(out[n], type=SUMMARY_SCHEMA.field(n).type) for n in SUMMARY_SCHEMA.names}
+    def persist_unit(u: dict) -> dict:
+        # one unit's tables are freed on return, before the next unit is read
+        uid, paths, rga, rgb = u["unit_id"], u["path"], u["rg_start"], u["rg_end"]
+        t0 = _time.monotonic()
+        raw = read_packed_units(
+            {"path": [paths], "rg_start": [rga], "rg_end": [rgb]}, SEQUENCE_COLUMNS
         )
+        v = validate_batch(raw)
+        tier0, dod = encode_rows(v)
+        write_unit(tier0, _os.path.join(out_dir, "tier0", f"unit={uid:06d}"))
+        tokens = int(np.asarray(tier0.column("n_tok"), dtype=np.int64).sum())
+        enc_bytes = int(pc.sum(pc.binary_length(tier0.column("gorilla_xor"))).as_py() or 0)
+        sh = state_hash(dod)
+        wall = _time.monotonic() - t0
+        write_manifest_row(
+            out_dir,
+            {
+                "part_id": int(uid),
+                "input_fragments": [f"{p}:{a}-{b}" for p, a, b in zip(paths, rga, rgb)],
+                "encoder_state_hash": sh,
+                "rows_emitted": tier0.num_rows,
+                "tokens_processed": tokens,
+                "wall_s": wall,
+                "engine_version": ENGINE_VERSION,
+            },
+        )
+        return {"part_id": int(uid), "rows_emitted": tier0.num_rows,
+                "tokens_processed": tokens, "encoded_bytes": enc_bytes,
+                "encoder_state_hash": sh, "wall_s": wall}
 
-    ds = ray.data.from_items(packed, override_num_blocks=slot_blocks(len(packed), num_cpus))
-    return ds.map_batches(process, batch_size=None, batch_format="pyarrow", num_cpus=num_cpus)
+    def process(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pylist([persist_unit(u) for u in block_units(batch)],
+                                    schema=SUMMARY_SCHEMA)
+
+    return slot_dataset(packed, num_cpus, target).map_batches(
+        process, batch_size=None, batch_format="pyarrow", num_cpus=num_cpus)
 
 
 def read_tier0(out_dir: str):

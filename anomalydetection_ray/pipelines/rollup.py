@@ -90,16 +90,17 @@ def plan_read_units(path: str, target_bytes: int = _READ_TARGET_BYTES) -> list[d
         for rg in range(nrg):
             cur_bytes += md.row_group(rg).total_byte_size
             if cur_bytes >= target_bytes:
-                units.append({"path": f, "rg_start": cur_start, "rg_end": rg + 1})
+                units.append({"path": f, "rg_start": cur_start, "rg_end": rg + 1,
+                              "bytes": cur_bytes})
                 cur_start, cur_bytes = rg + 1, 0
         if cur_start < nrg:
-            units.append({"path": f, "rg_start": cur_start, "rg_end": nrg})
+            units.append({"path": f, "rg_start": cur_start, "rg_end": nrg, "bytes": cur_bytes})
     return units
 
 
 def pack_read_units(units: list[dict], override_num_blocks: int | None) -> list[dict]:
     """Pack row-group units into task-sized items, each tagged with a
-    deterministic unit_id (the resume key)."""
+    deterministic unit_id (the resume key) and its planned ``bytes``."""
     if override_num_blocks is not None and override_num_blocks < len(units):
         per = -(-len(units) // override_num_blocks)
         groups = [units[i : i + per] for i in range(0, len(units), per)]
@@ -111,36 +112,74 @@ def pack_read_units(units: list[dict], override_num_blocks: int | None) -> list[
             "path": [u["path"] for u in g],
             "rg_start": [u["rg_start"] for u in g],
             "rg_end": [u["rg_end"] for u in g],
+            "bytes": sum(u["bytes"] for u in g),
         }
         for k, g in enumerate(groups)
     ]
 
 
-def slot_blocks(n_units: int, num_cpus: float = 1) -> int:
-    """Ray Data blocks for ``n_units`` per-unit tasks of ``num_cpus`` each:
-    one per CPU slot of the running cluster, ``min(n_units, CPU //
-    num_cpus)`` with a floor of 1.  Each Ray Data block costs a fixed
-    scheduling cycle (~25 ms measured on one core), so a block per unit
-    pays it once per unit while only the slots can run at once.  Without a
-    Ray session (the engine never starts one) it stays one block per unit."""
+def slot_blocks(units: list[dict], num_cpus: float = 1,
+                target_bytes: int = _READ_TARGET_BYTES) -> list[list[dict]]:
+    """Split per-unit work into contiguous Ray Data blocks balanced by the
+    units' ``bytes``: ``k = min(units, max(CPU slots, ceil(bytes /
+    target_bytes)))`` blocks, unit i in block ``floor(k * mid_i / bytes)``
+    where ``mid_i`` is the byte offset of the unit's middle.
+
+    Each Ray Data block costs a fixed scheduling cycle (~25 ms measured on
+    one core), so a block per unit pays it once per unit while only the
+    slots run at once.  That matters for units far below ``target_bytes``
+    (small files, file tails), and only those are packed: a block carries
+    about ``bytes / k <= target_bytes``, so units of ``target_bytes`` or
+    more never share a block with each other, and with ``k == units``
+    every unit keeps its own block.  The CPU snapshot can only add blocks:
+    a cluster whose head has no CPUs or whose workers join later still
+    gets one block per ~``target_bytes`` of input.  Without a Ray session
+    (the engine never starts one) every unit is its own block."""
+    import itertools
+
+    import numpy as np
     import ray
 
-    if not ray.is_initialized():
-        return n_units
+    sizes = np.array([u["bytes"] for u in units], dtype=np.float64)
+    total = sizes.sum()
+    if not ray.is_initialized() or total <= 0:
+        return [[u] for u in units]
     slots = int(ray.cluster_resources().get("CPU", 0) // num_cpus)
-    return max(1, min(n_units, slots))
+    k = min(len(units), max(slots, int(-(-total // target_bytes))))
+    if k == len(units):
+        return [[u] for u in units]
+    block = np.floor(k * (np.cumsum(sizes) - sizes / 2) / total)
+    return [[u for _, u in g] for _, g in itertools.groupby(zip(block, units),
+                                                             key=lambda t: t[0])]
+
+
+def slot_dataset(packed: list[dict], num_cpus: float,
+                 target_bytes: int = _READ_TARGET_BYTES):
+    """The packed units as a Dataset with one ``slot_blocks`` block per row
+    (``{"units": [unit, ...]}``); ``block_units`` flattens a batch back."""
+    import ray.data
+
+    groups = slot_blocks(packed, num_cpus, target_bytes)
+    return ray.data.from_items([{"units": g} for g in groups], override_num_blocks=len(groups))
+
+
+def block_units(batch: pa.Table) -> list[dict]:
+    return [u for g in batch.column("units").to_pylist() for u in g]
 
 
 def read_committed(root: str):
     """Read the committed ``root/unit=<k>/data.parquet`` files of a persist
-    run back as a Dataset, in ``slot_blocks`` read tasks."""
+    run back as a Dataset.  ``read_parquet`` splits files among its read
+    tasks by count, not bytes, so only output of at most one read target
+    gets ``slot_blocks`` tasks; larger output keeps Ray Data's default."""
     import glob
     import os
 
     import ray.data
 
-    n = len(glob.glob(os.path.join(root, "*", "*.parquet")))
-    return ray.data.read_parquet(root, override_num_blocks=slot_blocks(n))
+    files = [{"bytes": os.path.getsize(f)} for f in glob.glob(os.path.join(root, "*", "*.parquet"))]
+    n = len(slot_blocks(files)) if sum(f["bytes"] for f in files) <= _READ_TARGET_BYTES else 0
+    return ray.data.read_parquet(root, override_num_blocks=n or None)
 
 
 def write_unit(table: pa.Table, udir: str) -> None:
@@ -242,81 +281,66 @@ def rollup_persist(
 ):
     """Resumable P1: per-read-unit tier output + atomic manifest, NO shuffle.
 
-    Each task takes one CPU slot's share of the read units (``slot_blocks``)
-    and handles them one at a time: it reads a unit's row-group ranges,
-    validates, rolls up, writes ``out_dir/tiers/unit=<k>/data.parquet``
-    atomically and commits the unit's manifest row (unit_id as the
-    partition key; lineage = the input row-group ranges) before starting
-    the next unit.  So peak memory is one unit per task, and a task that
-    fails keeps the units it committed before the failure.  ``resume=True``
-    skips committed units before any read happens — the deterministic
-    footer plan makes unit ids stable.  Returns the per-unit summary
-    Dataset (consume to execute)."""
+    Each task takes one ``slot_blocks`` block of read units and handles
+    them one at a time: it reads a unit's row-group ranges, validates,
+    rolls up, writes ``out_dir/tiers/unit=<k>/data.parquet`` atomically and
+    commits the unit's manifest row (unit_id as the partition key; lineage
+    = the input row-group ranges) before it reads the next unit.  So peak
+    memory is one unit per task, and a task that fails keeps the units it
+    committed before the failure.  ``resume=True`` skips committed units
+    before any read happens — the deterministic footer plan makes unit ids
+    stable.  Returns the per-unit summary Dataset (consume to execute)."""
     import os as _os
     import time as _time
 
+    import pyarrow.compute as pc
     import ray.data
 
     from anomalydetection_ray.constants import ENGINE_VERSION
     from anomalydetection_ray.state.manifest import finished_part_ids, write_manifest_row
 
+    summary = pa.schema([("unit_id", pa.int32()), ("rows_emitted", pa.int64()),
+                         ("tokens_processed", pa.int64()), ("tiers_checksum", pa.string())])
     units = plan_read_units(path)
     packed = pack_read_units(units, override_num_blocks)
     if resume:
         done = finished_part_ids(out_dir)
         packed = [u for u in packed if u["unit_id"] not in done]
     if not packed:
-        import pyarrow as _pa
+        return ray.data.from_arrow(summary.empty_table())
 
-        return ray.data.from_arrow(
-            _pa.table({"unit_id": _pa.array([], type=_pa.int32()),
-                       "rows_emitted": _pa.array([], type=_pa.int64()),
-                       "tokens_processed": _pa.array([], type=_pa.int64()),
-                       "tiers_checksum": _pa.array([], type=_pa.string())})
+    def persist_unit(u: dict) -> dict:
+        # one unit's tables are freed on return, before the next unit is read
+        uid, paths, rga, rgb = u["unit_id"], u["path"], u["rg_start"], u["rg_end"]
+        t0 = _time.monotonic()
+        raw = read_packed_units({"path": [paths], "rg_start": [rga], "rg_end": [rgb]},
+                                SEQUENCE_COLUMNS)
+        v = validate_batch(raw)
+        tiers = rollup_batch(v, policy=policy)
+        write_unit(tiers, _os.path.join(out_dir, "tiers", f"unit={uid:06d}"))
+        tokens = int(pc.sum(v.column("n_tok")).as_py() or 0)
+        csum = tiers_checksum(tiers)
+        write_manifest_row(
+            out_dir,
+            {
+                "part_id": int(uid),
+                "input_fragments": [f"{p}:{a}-{b}" for p, a, b in zip(paths, rga, rgb)],
+                "encoder_state_hash": csum,
+                "rows_emitted": tiers.num_rows,
+                "tokens_processed": tokens,
+                "wall_s": _time.monotonic() - t0,
+                "engine_version": ENGINE_VERSION,
+            },
         )
+        return {"unit_id": int(uid), "rows_emitted": tiers.num_rows,
+                "tokens_processed": tokens, "tiers_checksum": csum}
 
     def process(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        return pa.Table.from_pylist([persist_unit(u) for u in block_units(batch)],
+                                    schema=summary)
 
-        out_rows = {"unit_id": [], "rows_emitted": [], "tokens_processed": [],
-                    "tiers_checksum": []}
-        for u in batch.to_pylist():
-            uid, paths, rga, rgb = u["unit_id"], u["path"], u["rg_start"], u["rg_end"]
-            t0 = _time.monotonic()
-            raw = read_packed_units({"path": [paths], "rg_start": [rga], "rg_end": [rgb]},
-                                    SEQUENCE_COLUMNS)
-            v = validate_batch(raw)
-            tiers = rollup_batch(v, policy=policy)
-            write_unit(tiers, _os.path.join(out_dir, "tiers", f"unit={uid:06d}"))
-            tokens = int(pc.sum(v.column("n_tok")).as_py() or 0)
-            csum = tiers_checksum(tiers)
-            write_manifest_row(
-                out_dir,
-                {
-                    "part_id": int(uid),
-                    "input_fragments": [f"{p}:{a}-{b}" for p, a, b in zip(paths, rga, rgb)],
-                    "encoder_state_hash": csum,
-                    "rows_emitted": tiers.num_rows,
-                    "tokens_processed": tokens,
-                    "wall_s": _time.monotonic() - t0,
-                    "engine_version": ENGINE_VERSION,
-                },
-            )
-            out_rows["unit_id"].append(int(uid))
-            out_rows["rows_emitted"].append(tiers.num_rows)
-            out_rows["tokens_processed"].append(tokens)
-            out_rows["tiers_checksum"].append(csum)
-        return pa.table(
-            {
-                "unit_id": pa.array(out_rows["unit_id"], type=pa.int32()),
-                "rows_emitted": pa.array(out_rows["rows_emitted"], type=pa.int64()),
-                "tokens_processed": pa.array(out_rows["tokens_processed"], type=pa.int64()),
-                "tiers_checksum": pa.array(out_rows["tiers_checksum"], type=pa.string()),
-            }
-        )
-
-    ds = ray.data.from_items(packed, override_num_blocks=slot_blocks(len(packed), num_cpus))
-    return ds.map_batches(process, batch_size=None, batch_format="pyarrow", num_cpus=num_cpus)
+    return slot_dataset(packed, num_cpus).map_batches(
+        process, batch_size=None, batch_format="pyarrow", num_cpus=num_cpus)
 
 
 def read_tiers(out_dir: str, tier: int | None = None):

@@ -39,11 +39,17 @@ def write_manifest_row(out_dir: str, row: dict) -> None:
     os.makedirs(d, exist_ok=True)
     final = os.path.join(d, f"part={row['part_id']:06d}.json")
     tmp = final + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(row, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, final)
+    try:
+        with open(tmp, "w") as f:
+            json.dump(row, f, sort_keys=True)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, final)
+    except BaseException:
+        # a failed or cancelled commit leaves no tmp behind
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_manifest(out_dir: str) -> list[dict]:

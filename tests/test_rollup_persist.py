@@ -101,17 +101,36 @@ def test_persist_incremental_append(ray_session, tmp_path):
 
 
 def test_slot_blocks(ray_session, monkeypatch):
-    """One Ray Data block per CPU slot of the 4-CPU session, never more
-    than one per unit; one block per unit when no Ray session is up."""
+    """Small units share one block per CPU slot of the 4-CPU session; units
+    of a full read target never share a block with each other; the CPU
+    snapshot only adds blocks; one block per unit without a Ray session."""
     import ray
 
+    from anomalydetection_ray.pipelines.rollup import _READ_TARGET_BYTES as T
     from anomalydetection_ray.pipelines.rollup import slot_blocks
 
+    def units(sizes):
+        return [{"unit_id": k, "bytes": b} for k, b in enumerate(sizes)]
+
+    def ids(sizes, num_cpus):
+        blocks = slot_blocks(units(sizes), num_cpus=num_cpus)
+        assert [u for b in blocks for u in b] == units(sizes)  # contiguous, in order
+        return [[u["unit_id"] for u in b] for b in blocks]
+
     for n in (1, 2, 3, 4, 12):
-        assert slot_blocks(n, num_cpus=1) == min(n, 4)
-        assert slot_blocks(n, num_cpus=2) == min(n, 2)
+        assert len(ids([1000] * n, 1)) == min(n, 4)
+        assert len(ids([1000] * n, 2)) == min(n, 2)
+    assert ids([1000] * 12, 1) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    # one slot (num_cpus=4): full-size units keep a block each
+    assert ids([T] * 12, 4) == [[k] for k in range(12)]
+    uneven = [T, 1000, 1000, 2 * T, 1000, T, T // 2]
+    for b in ids(uneven, 4):
+        assert sum(uneven[k] >= T for k in b) <= 1
+    # no slot at all (num_cpus=8 > 4 CPUs): one block per ~T bytes
+    assert len(ids([1000] * 12, 8)) == 1
+    assert len(ids([T] * 12, 8)) == 12
     monkeypatch.setattr(ray, "is_initialized", lambda: False)
-    assert [slot_blocks(n, num_cpus=1) for n in (1, 12)] == [1, 12]
+    assert ids([1000] * 12, 1) == [[k] for k in range(12)]
 
 
 @pytest.fixture(scope="module")
@@ -132,23 +151,32 @@ def _unit_files(out, sub):
 
 @pytest.mark.parametrize("sub", ["tiers", "tier0"])
 def test_persist_task_fails_partway(ray_session, twelve_files, tmp_path, sub):
-    """12 units on 4 one-CPU slots: each task commits 3 units one at a time.
-    A unit whose input vanished fails its task; the task's earlier unit
-    stays committed, no tmp file is left, and the resume redoes exactly
-    the units without a manifest, byte-identical to a fresh run."""
+    """12 one-file units on 4 one-CPU slots: each task commits its block of
+    units one at a time.  A unit whose input vanished fails its task; the
+    task's earlier unit stays committed, no tmp data file is left, and the
+    resume redoes exactly the units without a manifest, byte-identical to
+    a fresh run."""
     import ray
 
     from anomalydetection_ray.pipelines.ingest import ingest_persist
-    from anomalydetection_ray.pipelines.rollup import rollup_persist
+    from anomalydetection_ray.pipelines.rollup import (
+        pack_read_units,
+        plan_read_units,
+        rollup_persist,
+        slot_blocks,
+    )
     from anomalydetection_ray.state.manifest import finished_part_ids
 
     run = {"tiers": rollup_persist, "tier0": ingest_persist}[sub]
     id_col = {"tiers": "unit_id", "tier0": "part_id"}[sub]
+    blocks = slot_blocks(pack_read_units(plan_read_units(twelve_files), None), num_cpus=1)
+    assert len(blocks) == 4
+    task = next([u["unit_id"] for u in b] for b in blocks if len(b) >= 3)
     fresh, out = str(tmp_path / "fresh"), str(tmp_path / "out")
     run(twelve_files, fresh, resume=False, num_cpus=1).take_all()
 
     ds = run(twelve_files, out, resume=False, num_cpus=1)
-    hidden = os.path.join(twelve_files, "f001.parquet")
+    hidden = os.path.join(twelve_files, f"f{task[1]:03d}.parquet")
     os.rename(hidden, hidden + ".hidden")
     try:
         with pytest.raises(Exception):
@@ -160,10 +188,10 @@ def test_persist_task_fails_partway(ray_session, twelve_files, tmp_path, sub):
     finally:
         os.rename(hidden + ".hidden", hidden)
 
-    left = [f for _, _, fs in os.walk(out) for f in fs if "tmp" in f]
-    assert left == []
+    assert [f for _, _, fs in os.walk(os.path.join(out, sub)) for f in fs
+            if f.startswith(".tmp")] == []
     committed = finished_part_ids(out)
-    assert 0 in committed and not {1, 2} & committed
+    assert task[0] in committed and not set(task[1:]) & committed
 
     redone = run(twelve_files, out, resume=True, num_cpus=1).take_all()
     assert sorted(r[id_col] for r in redone) == sorted(set(range(12)) - committed)
