@@ -10,6 +10,13 @@ bucket math (min/max/mean/count + robust anomaly score) over the
 ``events`` table, where the whole computation IS SQL-expressible — the
 strongest external check the rollup semantics get.
 
+Plan sizing: on input of at most one read target (``_READ_TARGET_BYTES``
+of planned row groups, the rule ``read_committed`` also uses) a grouped
+query runs as ONE Ray Data task through ``_sized``.  Its exchange (block
+partials -> shuffle -> finalize) pays a fixed per-stage scheduling cycle
+and only runs on larger input, where the shuffle has work to spread.  Both
+plans are built from the query's same Arrow closures.
+
 Float-parity discipline: SQL-checked aggregates avoid distributed float
 summation (addition-order-dependent); sums are over exact integers, means
 are a single IEEE division of exact integers, medians/MAD match DuckDB's
@@ -30,14 +37,53 @@ def _read(sf_dir: str, table: str, columns=None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-def _daily_cents(sf_dir: str):
-    """Daily cent-value totals of ``events``: ``(event_type, day,
-    sum(x))``, all-int64 except the type.  ``day`` is the UTC day number
-    ``ts_us // 86_400_000_000`` and ``x`` is ``floor(value*100 + 0.5)``,
-    so every total is exact.  Per-block Arrow partials, then ONE Ray
-    exchange on the (types x span-days)-bounded key."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
+def _sized(sf_dir: str, table: str, columns, whole, exchange):
+    """A query over ``sf_dir/table`` sized to its input (module docstring):
+    ``exchange(_read(sf_dir, table, columns))`` when the footer plan is
+    over one read target, else ONE Ray Data task that reads every planned
+    row-group range and returns ``whole(table)``.  A zero-row input gives
+    an empty, schema-less block, as the exchange does; ``whole`` is never
+    called on it."""
+    import ray.data
 
+    from anomalydetection_ray.pipelines import rollup
+
+    units = rollup.plan_read_units(f"{sf_dir}/{table}.parquet")
+    if not units or sum(u["bytes"] for u in units) > rollup._READ_TARGET_BYTES:
+        return exchange(_read(sf_dir, table, columns))
+
+    def run(batch: pa.Table) -> pa.Table:
+        t = rollup.read_packed_units(batch.to_pydict(), columns)
+        return whole(t) if t.num_rows else pa.table({})
+
+    # not read_parquet(override_num_blocks=1): its one read task still
+    # yields several blocks, so a fused map_batches would run once per block
+    return ray.data.from_items(rollup.pack_read_units(units, 1), override_num_blocks=1) \
+        .map_batches(run, batch_size=None, batch_format="pyarrow")
+
+
+def _by_type(finalize):
+    """``groupby("event_type").map_groups(finalize)`` over the bounded
+    (event_type, day) grid in one block: sort by (type, day), split at the
+    type runs, concatenate the per-type outputs."""
+    from anomalydetection_ray.stages.runs import run_starts
+
+    def apply(grid: pa.Table) -> pa.Table:
+        grid = grid.sort_by([("event_type", "ascending"), ("day", "ascending")])
+        bounds = [*run_starts(grid, ["event_type"]).tolist(), grid.num_rows]
+        return pa.concat_tables([finalize(grid.slice(a, b - a))
+                                 for a, b in zip(bounds, bounds[1:])])
+
+    return apply
+
+
+def _daily_cents(sf_dir: str, finalize):
+    """``finalize`` over the daily cent-value totals of ``events``, the
+    grid ``(event_type, day, sum(x))``, all-int64 except the type.
+    ``day`` is the UTC day number ``ts_us // 86_400_000_000`` and ``x``
+    is ``floor(value*100 + 0.5)``, so every total is exact.  Over one
+    read target (``_sized``): per-block Arrow partials, ONE Ray exchange
+    on the (types x span-days)-bounded key, ``finalize`` on one block."""
     def partial(batch: pa.Table) -> pa.Table:
         us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
         day = us // 86_400_000_000
@@ -51,19 +97,23 @@ def _daily_cents(sf_dir: str):
                          "day": g.column("day"),
                          "x": g.column("v100_sum").cast(pa.int64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "day"]).sum("x"))
+    def exchange(ds):
+        return (ds.map_batches(partial, batch_format="pyarrow",
+                               zero_copy_batch=True)
+                .groupby(["event_type", "day"]).sum("x")
+                .repartition(1).map_batches(finalize, batch_format="pyarrow"))
+
+    return _sized(sf_dir, "events", ["event_type", "ts", "value"],
+                  lambda t: finalize(partial(t).rename_columns(
+                      ["event_type", "day", "sum(x)"])), exchange)
 
 
-def _daily_counts(sf_dir: str):
-    """Daily event counts of ``events``: ``(event_type, day, n)`` with
-    ``_daily_cents``'s day number and an int64 ``n``.  Same plan:
-    per-block Arrow partials, then ONE bounded Ray exchange."""
+def _daily_counts(sf_dir: str, finalize):
+    """``finalize`` over the daily event counts of ``events``, the grid
+    ``(event_type, day, n)`` with ``_daily_cents``'s day number and an
+    int64 ``n``.  Same plan as ``_daily_cents``."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
@@ -76,10 +126,15 @@ def _daily_counts(sf_dir: str):
                          "day": g.column("day"),
                          "n": pc.cast(g.column("count_all"), pa.int64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "day"])
-            .aggregate(Sum("n", alias_name="n")))
+    def exchange(ds):
+        return (ds.map_batches(partial, batch_format="pyarrow",
+                               zero_copy_batch=True)
+                .groupby(["event_type", "day"])
+                .aggregate(Sum("n", alias_name="n"))
+                .repartition(1).map_batches(finalize, batch_format="pyarrow"))
+
+    return _sized(sf_dir, "events", ["event_type", "ts"],
+                  lambda t: finalize(partial(t)), exchange)
 
 
 # ---------------------------------------------------------------- G2 ----
@@ -586,8 +641,6 @@ def rollup_events_tier1(sf_dir: str, num_partitions: int = 16):
     from anomalydetection_ray.stages.rollup import _scores_dense
     from anomalydetection_ray.stages.runs import PKEY, add_partition_key, run_starts
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
-
     def per_partition(batch: pa.Table) -> pa.Table:
         w = EVENTS_BUCKET
         if batch.num_rows == 0:
@@ -602,9 +655,7 @@ def rollup_events_tier1(sf_dir: str, num_partitions: int = 16):
                     "anomaly_score": pa.array([], type=pa.float64()),
                 }
             )
-        batch = batch.drop_columns([PKEY]).sort_by(
-            [("user_id", "ascending"), ("event_id", "ascending")]
-        )
+        batch = batch.sort_by([("user_id", "ascending"), ("event_id", "ascending")])
         n = batch.num_rows
         v = np.floor(np.asarray(batch.column("value"), dtype=np.float64)).astype(np.int32)
         uids = np.asarray(batch.column("user_id"), dtype=np.int64)
@@ -635,12 +686,15 @@ def rollup_events_tier1(sf_dir: str, num_partitions: int = 16):
             }
         )
 
-    tagged = ds.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"], num_partitions=num_partitions),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return tagged.groupby(PKEY).map_groups(per_partition, batch_format="pyarrow")
+    def exchange(ds):
+        tagged = ds.map_batches(
+            functools.partial(add_partition_key, keys=["user_id"], num_partitions=num_partitions),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+        return tagged.groupby(PKEY).map_groups(per_partition, batch_format="pyarrow")
+
+    return _sized(sf_dir, "events", ["event_id", "user_id", "value"], per_partition, exchange)
 
 
 def g3_token_value_quantiles(sf_dir: str, qs=(0.5, 0.9, 0.99)):
@@ -1575,7 +1629,6 @@ def g8_grouping_sets(sf_dir: str):
     with grain = number of rolled keys."""
     import pyarrow.compute as pc
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
     DAY_US = 86_400_000_000
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1617,29 +1670,25 @@ def g8_grouping_sets(sf_dir: str):
         }))
         return pa.concat_tables(parts)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def merge(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        grain = int(group.column("grain")[0].as_py())
-        et = group.column("event_type").slice(0, 1) if grain < 2 \
-            else pa.array([None], type=pa.string())
-        day = group.column("day").slice(0, 1) if grain < 1 \
-            else pa.array([None], type=pa.int64())
+    def merge(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys).aggregate([("n", "sum"), ("vq_sum", "sum")])
+        grain = g.column("grain")
         return pa.table({
-            "grain": group.column("grain").slice(0, 1),
-            "event_type": et,
-            "day": day,
-            "n": pa.array([int(pc.sum(group.column("n")).as_py())],
-                          type=pa.int64()),
-            "vq_sum": pa.array([int(pc.sum(group.column("vq_sum")).as_py())],
-                               type=pa.int64()),
+            "grain": grain,
+            "event_type": pc.if_else(pc.less(grain, 2), g.column("event_type"),
+                                     pa.scalar(None, pa.string())),
+            "day": pc.if_else(pc.less(grain, 1), g.column("day"),
+                              pa.scalar(None, pa.int64())),
+            "n": g.column("n_sum"),
+            "vq_sum": g.column("vq_sum_sum"),
         })
 
-    return partials.groupby(["grain", "event_type", "day"]).map_groups(
-        merge, batch_format="pyarrow")
+    keys = ["grain", "event_type", "day"]
+    return _sized(sf_dir, "events", ["event_type", "ts", "value"],
+                  lambda t: merge(partial(t)),
+                  lambda ds: ds.map_batches(partial, batch_format="pyarrow",
+                                            zero_copy_batch=True)
+                  .groupby(keys).map_groups(merge, batch_format="pyarrow"))
 
 
 def j8_semi_join(sf_dir: str, price_floor: float = 400000.0):
@@ -4355,7 +4404,6 @@ def a35_seasonal_energy(sf_dir: str):
     (types x span-days)-bounded key -> a per-TYPE finalize (bounded
     groups) holding only the daily grid.  Powers are the three pinned
     float ops on exact-int Fourier sums."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -4380,8 +4428,7 @@ def a35_seasonal_energy(sf_dir: str):
             "p4": pa.array([p4], type=pa.float64()),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- A36 ----
@@ -4400,7 +4447,6 @@ def a36_rescaled_range(sf_dir: str):
 
     Scale shape: A35's — per-block (type, day) partials, one bounded
     exchange, a per-TYPE finalize holding only the daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -4429,8 +4475,7 @@ def a36_rescaled_range(sf_dir: str):
             "rs": pa.array([rs], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- J12 ----
@@ -4625,7 +4670,6 @@ def a37_pettitt(sf_dir: str):
     Scale shape: A35/A36's — per-block (type, day) sum partials, one
     exchange on the (types x span-days)-bounded key, per-TYPE finalize
     holding only the daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -4668,8 +4712,7 @@ def a37_pettitt(sf_dir: str):
             "p_approx": pa.array([p], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G20 ----
@@ -4901,12 +4944,11 @@ def s20_zonemap_pruning(sf_dir: str, offset_days: int = 10,
     s20_zonemap_pruning.last_plan = {"rg_total": rg_total,
                                      "rg_scanned": len(units)}
 
-    def read_unit(batch) -> pa.Table:
-        import pandas as _pd
-
+    def read_unit(batch: pa.Table) -> pa.Table:
         tabs = []
-        for _, r in batch.iterrows():
-            t = pq.ParquetFile(r["path"]).read_row_group(int(r["rg"]))
+        for path, rg in zip(batch.column("path").to_pylist(),
+                            batch.column("rg").to_pylist()):
+            t = pq.ParquetFile(path).read_row_group(rg)
             day = np.asarray(t.column("day"), dtype=np.int64)
             keep = (day >= d0) & (day <= d1)
             t = t.filter(pa.array(keep))
@@ -4926,7 +4968,7 @@ def s20_zonemap_pruning(sf_dir: str, offset_days: int = 10,
 
     import ray.data as _rd
     agg = (_rd.from_items(units)
-           .map_batches(read_unit, batch_format="pandas")
+           .map_batches(read_unit, batch_format="pyarrow")
            .groupby("day").sum(["n", "cents_sum"]))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -5086,7 +5128,6 @@ def a38_mann_whitney(sf_dir: str):
 
     Scale shape: A35-family — per-block (type, day) partials, one
     bounded exchange, per-TYPE finalize over the daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -5122,8 +5163,7 @@ def a38_mann_whitney(sf_dir: str):
             "z": pa.array([z], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- A39 ----
@@ -5141,7 +5181,6 @@ def a39_bartels_rvn(sf_dir: str):
     cancels in RVN = float(NUM2) / float(DEN2) — one pinned division.
 
     Scale shape: A35-family bounded daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -5166,8 +5205,7 @@ def a39_bartels_rvn(sf_dir: str):
             "rvn": pa.array([rvn], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- U3 ----
@@ -5349,7 +5387,6 @@ def a41_variance_ratio(sf_dir: str):
     fixed association order the SQL replays.
 
     Scale shape: A35-family bounded daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -5374,8 +5411,7 @@ def a41_variance_ratio(sf_dir: str):
             "vr2": pa.array([vr], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- A42 ----
@@ -5394,7 +5430,6 @@ def a42_seasonal_mk(sf_dir: str):
 
     Scale shape: A35-family bounded daily grid — the O(g^2) pair work
     happens on per-phase series of length ~span/7, driver-free."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -5435,8 +5470,7 @@ def a42_seasonal_mk(sf_dir: str):
             "z_smk": pa.array([z], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- R3 ----
@@ -5717,7 +5751,6 @@ def a43_cox_stuart(sf_dir: str):
     pairs is two pinned float ops.
 
     Scale shape: A35-family bounded daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -5746,8 +5779,7 @@ def a43_cox_stuart(sf_dir: str):
             "z_cs": pa.array([z], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- R4 ----
@@ -5936,7 +5968,6 @@ def a44_arch_effect(sf_dir: str):
     float(num) / (sqrt(float(v1)) * sqrt(float(v2))).
 
     Scale shape: A35-family bounded daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -5973,8 +6004,7 @@ def a44_arch_effect(sf_dir: str):
                                  from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G25 ----
@@ -5995,8 +6025,6 @@ def g25_stickiness(sf_dir: str, window_days: int = 7,
                                                   partition_apply,
                                                   run_starts)
 
-    ds = _read(sf_dir, "events", ["ts", "user_id"])
-
     def to_pairs(batch: pa.Table) -> pa.Table:
         us = np.asarray(batch.column("ts").cast(pa.int64()),
                         dtype=np.int64)
@@ -6005,20 +6033,7 @@ def g25_stickiness(sf_dir: str, window_days: int = 7,
                       "user_id": batch.column("user_id")})
         return t.group_by(["day", "user_id"]).aggregate([])
 
-    pre = ds.map_batches(to_pairs, batch_format="pyarrow",
-                         zero_copy_batch=True)
-    pairs = keep_first_by(pre, keys=["day", "user_id"],
-                          num_partitions=num_partitions).materialize()
-
-    day_rows = (pairs.map_batches(
-        lambda b: pa.table({"day": b.column("day")})
-        .group_by(["day"]).aggregate([]),
-        batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day").count().take_all())
-    observed = np.unique(np.asarray([int(r["day"]) for r in day_rows],
-                                    dtype=np.int64))
-
-    def expand(batch: pa.Table) -> pa.Table:
+    def expand(batch: pa.Table, observed: np.ndarray) -> pa.Table:
         n = batch.num_rows
         if n == 0:
             return pa.table({"out_day": pa.array([], type=pa.int64()),
@@ -6035,9 +6050,6 @@ def g25_stickiness(sf_dir: str, window_days: int = 7,
         return pa.table({"out_day": pa.array(out, type=pa.int64()),
                          "user_id": pa.array(u, type=pa.int64()),
                          "is_dau": pa.array(is_dau, type=pa.bool_())})
-
-    fanned = pairs.map_batches(expand, batch_format="pyarrow",
-                               zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
@@ -6067,8 +6079,29 @@ def g25_stickiness(sf_dir: str, window_days: int = 7,
                                    type=pa.float64()),
         })
 
-    return partition_apply(fanned, ["out_day"], kernel,
-                           num_partitions=num_partitions)
+    def whole(t: pa.Table) -> pa.Table:
+        pairs = to_pairs(t)
+        return kernel(expand(pairs, np.unique(np.asarray(pairs.column("day")))))
+
+    def exchange(ds):
+        pre = ds.map_batches(to_pairs, batch_format="pyarrow",
+                             zero_copy_batch=True)
+        pairs = keep_first_by(pre, keys=["day", "user_id"],
+                              num_partitions=num_partitions).materialize()
+        day_rows = (pairs.map_batches(
+            lambda b: pa.table({"day": b.column("day")})
+            .group_by(["day"]).aggregate([]),
+            batch_format="pyarrow", zero_copy_batch=True)
+            .groupby("day").count().take_all())
+        observed = np.unique(np.asarray([int(r["day"]) for r in day_rows],
+                                        dtype=np.int64))
+        fanned = pairs.map_batches(expand, fn_args=(observed,),
+                                   batch_format="pyarrow",
+                                   zero_copy_batch=True)
+        return partition_apply(fanned, ["out_day"], kernel,
+                               num_partitions=num_partitions)
+
+    return _sized(sf_dir, "events", ["ts", "user_id"], whole, exchange)
 
 
 # ---------------------------------------------------------------- A45 ----
@@ -6086,7 +6119,6 @@ def a45_turning_point_test(sf_dir: str):
     operand an exact int cast once.
 
     Scale shape: A35-family bounded daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -6114,8 +6146,7 @@ def a45_turning_point_test(sf_dir: str):
             "z_tp": pa.array([z], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- W35 ----
@@ -6398,7 +6429,6 @@ def a47_hurst_aggvar(sf_dir: str):
     (ln(v4) - ln(v1)) / (4.0 * ln(2.0)) both sides.
 
     Scale shape: A35-family bounded daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
@@ -6435,8 +6465,7 @@ def a47_hurst_aggvar(sf_dir: str):
                                  from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- A48 ----
@@ -6455,7 +6484,6 @@ def a48_seasonal_strength(sf_dir: str):
     Fs is one pinned division inside max(0, 1 - r).
 
     Scale shape: A35-family bounded daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -6492,8 +6520,7 @@ def a48_seasonal_strength(sf_dir: str):
                                           from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- A49 ----
@@ -6513,7 +6540,6 @@ def a49_brown_forsythe(sf_dir: str):
     int->double division (the doubling cancels).
 
     Scale shape: A35-family bounded daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -6550,8 +6576,7 @@ def a49_brown_forsythe(sf_dir: str):
                              from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G27 ----
@@ -6978,7 +7003,6 @@ def w41_daily_type_corr(sf_dir: str):
     Scale shape: per-block (type, day) count partials, ONE bounded
     exchange (types x days), final single-group widen over the bounded
     grid."""
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         import math
@@ -7021,7 +7045,7 @@ def w41_daily_type_corr(sf_dir: str):
                           from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- G31 ----
@@ -7040,7 +7064,6 @@ def g31_dispersion_index(sf_dir: str):
 
     Scale shape: per-block (type, day) count partials, ONE bounded
     exchange, single-group widen over the bounded grid."""
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -7067,7 +7090,7 @@ def g31_dispersion_index(sf_dir: str):
                                    from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- G33 ----
@@ -7245,7 +7268,6 @@ def g34_daily_quantile_band(sf_dir: str):
     widen (one sort of each type's bounded count vector)."""
     import math
 
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -7277,7 +7299,7 @@ def g34_daily_quantile_band(sf_dir: str):
             "p90": pa.array(out["p90"], type=pa.int64()),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- G35 ----
@@ -7566,7 +7588,6 @@ def w44_daily_acf1(sf_dir: str):
 
     Scale shape: the bounded (type, day) count exchange + single-group
     widen."""
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -7601,7 +7622,7 @@ def w44_daily_acf1(sf_dir: str):
                              from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- A63 ----
@@ -7625,7 +7646,6 @@ def a63_kpss(sf_dir: str):
     bounded exchange, a per-TYPE finalize holding only the daily grid."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -7652,8 +7672,7 @@ def a63_kpss(sf_dir: str):
             "kpss": pa.array([kpss], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G37 ----
@@ -7730,7 +7749,6 @@ def g38_daily_gini(sf_dir: str):
     tied block's weight sum is position-set-invariant).  num/den are
     exact int64; gini is ONE pinned division.  d is W44's global day
     span (one bounded exchange, single-group widen)."""
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -7764,7 +7782,7 @@ def g38_daily_gini(sf_dir: str):
                              from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- G39 ----
@@ -7898,7 +7916,6 @@ def g40_kendall_daily(sf_dir: str):
     never with corpus size)."""
     import math
 
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -7953,7 +7970,7 @@ def g40_kendall_daily(sf_dir: str):
                               from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- G41 ----
@@ -8144,7 +8161,6 @@ def a68_von_neumann(sf_dir: str):
     exchange, per-type finalize over the daily grid."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -8166,8 +8182,7 @@ def a68_von_neumann(sf_dir: str):
             "vn": pa.array([vn], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- Q24 ----
@@ -8241,7 +8256,6 @@ def w47_burst_runs(sf_dir: str):
 
     Scale shape: W44's bounded (type, day) count exchange +
     single-group widen."""
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type").to_pylist(),
@@ -8280,7 +8294,7 @@ def w47_burst_runs(sf_dir: str):
                                     type=pa.int64()),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- A69 ----
@@ -8304,7 +8318,6 @@ def a69_jarque_bera(sf_dir: str):
     finalize."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -8337,8 +8350,7 @@ def a69_jarque_bera(sf_dir: str):
             "jb": pa.array([jb], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- W49 ----
@@ -8362,7 +8374,6 @@ def w49_weekday_strength(sf_dir: str):
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type").to_pylist(),
@@ -8404,7 +8415,7 @@ def w49_weekday_strength(sf_dir: str):
                                  from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- W50 ----
@@ -8509,7 +8520,6 @@ def a70_df_slope(sf_dir: str):
     finalize."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -8540,8 +8550,7 @@ def a70_df_slope(sf_dir: str):
                              from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- W51 ----
@@ -8558,7 +8567,6 @@ def w51_robust_volatility(sf_dir: str):
 
     Scale shape: A36's bounded (type, day) exchange + per-type
     finalize over the daily grid."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -8586,8 +8594,7 @@ def w51_robust_volatility(sf_dir: str):
                                        from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- A71 ----
@@ -8608,7 +8615,6 @@ def a71_daily_mad_outliers(sf_dir: str):
 
     Scale shape: A36's bounded (type, day) exchange + per-type
     finalize."""
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -8627,8 +8633,7 @@ def a71_daily_mad_outliers(sf_dir: str):
             "n_flagged": pa.array([flagged], type=pa.int64()),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G42 ----
@@ -9211,7 +9216,6 @@ def w57_burstiness(sf_dir: str):
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         import math
@@ -9245,7 +9249,7 @@ def w57_burstiness(sf_dir: str):
                                    from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- G47 ----
@@ -9262,7 +9266,6 @@ def g47_outlier_days(sf_dir: str):
 
     Scale shape: per-block (type, day) count partials, ONE bounded
     exchange, per-type finalize over <= grid-days rows."""
-    counts = _daily_counts(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -9282,8 +9285,7 @@ def g47_outlier_days(sf_dir: str):
             "n_high_days": pa.array([n_high], type=pa.int64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_counts(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- Q30 ----
@@ -9758,7 +9760,6 @@ def c10_detector_agreement(sf_dir: str):
     finalize over <= grid-days rows."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -9789,8 +9790,7 @@ def c10_detector_agreement(sf_dir: str):
                                 from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- W60 ----
@@ -9874,7 +9874,6 @@ def a97_daily_mase(sf_dir: str):
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -9912,7 +9911,7 @@ def a97_daily_mase(sf_dir: str):
                              from_pandas=True),
         })
 
-    return daily.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_cents(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- S25 ----
@@ -10066,7 +10065,6 @@ def g53_longest_drought(sf_dir: str):
 
     Scale shape: G31's bounded (type, day) exchange; the zero-run
     scan happens on the bounded dense grid in a single-group widen."""
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -10099,7 +10097,7 @@ def g53_longest_drought(sf_dir: str):
             "longest_drought": pa.array(out_l, type=pa.int64()),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- S26 ----
@@ -10479,7 +10477,6 @@ def w63_weekend_effect(sf_dir: str):
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -10529,7 +10526,7 @@ def w63_weekend_effect(sf_dir: str):
                                 from_pandas=True),
         })
 
-    return daily.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_cents(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- G56 ----
@@ -10772,7 +10769,6 @@ def a98_arrival_uniformity(sf_dir: str):
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -10809,7 +10805,7 @@ def a98_arrival_uniformity(sf_dir: str):
                              from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- M10 ----
@@ -10983,7 +10979,6 @@ def w66_trailing_bursts(sf_dir: str):
 
     Scale shape: G31's bounded (type, day) exchange; trailing sums
     via one cumsum on the bounded dense grid."""
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -11031,7 +11026,7 @@ def w66_trailing_bursts(sf_dir: str):
                                       type=pa.int64()),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- G60 ----
@@ -11115,7 +11110,6 @@ def a99_xmr_chart(sf_dir: str):
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -11156,7 +11150,7 @@ def a99_xmr_chart(sf_dir: str):
             "n_out": pa.array(out["n_out"], type=pa.int64()),
         })
 
-    return daily.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_cents(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- W67 ----
@@ -11181,7 +11175,6 @@ def w67_lead_lag(sf_dir: str, max_shift: int = 7):
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    counts = _daily_counts(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -11242,7 +11235,7 @@ def w67_lead_lag(sf_dir: str, max_shift: int = 7):
             "r_best": pa.array(out["r_best"], type=pa.float64()),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_counts(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- S29 ----
@@ -11430,7 +11423,6 @@ def a100_today_rank(sf_dir: str):
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    daily = _daily_cents(sf_dir)
 
     def widen(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_pylist()
@@ -11466,7 +11458,7 @@ def a100_today_rank(sf_dir: str):
             "pct_rank": pa.array(out["pct_rank"], type=pa.float64()),
         })
 
-    return daily.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _daily_cents(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- E8 ----

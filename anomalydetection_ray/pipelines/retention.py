@@ -42,11 +42,9 @@ RETENTION_TIERS = (("tier0", 7), ("tier1", 14), ("tier2", None))
 
 
 def _day_counts(sf_dir: str):
-    """Distributed (day, n_events) over the events table: per-block Arrow
-    group_by partials, tiny final per-day sum."""
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+    """(day, n_events) over the events table: per-block Arrow group_by
+    partials, tiny final per-day sum (one task on small input, ``_sized``)."""
+    from anomalydetection_ray.pipelines.queries import _sized
 
     def partial(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts")
@@ -58,16 +56,14 @@ def _day_counts(sf_dir: str):
         return pa.table({"day": g.column("day"),
                          "n": pc.cast(g.column("count_all"), pa.int64())})
 
-    def merge(group: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": group.column("day").slice(0, 1),
-            "n": pa.array([int(pc.sum(group.column("n")).as_py())],
-                          type=pa.int64()),
-        })
+    def merge(t: pa.Table) -> pa.Table:
+        g = t.group_by("day").aggregate([("n", "sum")])
+        return pa.table({"day": g.column("day"), "n": g.column("n_sum")})
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby("day").map_groups(
-        merge, batch_format="pyarrow")
+    return _sized(sf_dir, "events", ["ts"], lambda t: merge(partial(t)),
+                  lambda ds: ds.map_batches(partial, batch_format="pyarrow",
+                                            zero_copy_batch=True)
+                  .groupby("day").map_groups(merge, batch_format="pyarrow"))
 
 
 def retention_plan_events(sf_dir: str):

@@ -3629,7 +3629,6 @@ def _stickiness_kernel(group: pa.Table) -> pa.Table:
     the user changes or the gap exceeds 6 days).  A global per-day sum
     + cumsum turns deltas into WAU without ever materializing the
     (user x day) membership grid."""
-    group = group.drop_columns([PKEY])
     uid = np.asarray(group.column("user_id"), dtype=np.int64)
     day = _ts_us(group.column("ts")) // 86_400_000_000
     order = np.lexsort((day, uid))
@@ -3676,16 +3675,8 @@ def w59_stickiness(sf_dir: str, num_partitions: int = 16):
     Scale shape: ONE ``_pkey`` exchange (user-partitioned), bounded
     (day, partials) exchange, single-group cumsum finalize over the
     bounded day grid."""
+    from anomalydetection_ray.pipelines.queries import _sized
     from anomalydetection_ray.stages.detectors import _split_double
-
-    ev = _read_events(sf_dir, ["ts", "user_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    partials = (tagged.groupby(PKEY).map_groups(
-        _stickiness_kernel, batch_format="pyarrow")
-        .groupby("day").sum(["dau", "wdelta"]))
 
     def finalize(group: pa.Table) -> pa.Table:
         day = np.asarray(group.column("day"), dtype=np.int64)
@@ -3718,8 +3709,23 @@ def w59_stickiness(sf_dir: str, num_partitions: int = 16):
                                    mask=~ok),
         })
 
-    return partials.repartition(1).map_batches(finalize,
-                                               batch_format="pyarrow")
+    def whole(t: pa.Table) -> pa.Table:
+        g = _stickiness_kernel(t).group_by("day").aggregate(
+            [("dau", "sum"), ("wdelta", "sum")])
+        return finalize(g.select(["day", "dau_sum", "wdelta_sum"])
+                        .rename_columns(["day", "sum(dau)", "sum(wdelta)"]))
+
+    def exchange(ev):
+        tagged = ev.map_batches(
+            functools.partial(add_partition_key, keys=["user_id"],
+                              num_partitions=num_partitions),
+            batch_format="pyarrow", zero_copy_batch=True)
+        return (tagged.groupby(PKEY).map_groups(
+            _stickiness_kernel, batch_format="pyarrow")
+            .groupby("day").sum(["dau", "wdelta"])
+            .repartition(1).map_batches(finalize, batch_format="pyarrow"))
+
+    return _sized(sf_dir, "events", ["ts", "user_id"], whole, exchange)
 
 
 def w61_second_order_entropy(sf_dir: str, num_partitions: int = 16):

@@ -4752,3 +4752,87 @@ def test_daily_series_split_events(ray_session, tmp_path, name):
     got = _sorted_frame(e.queries()[name](str(tmp_path)))
     assert len(want) > 0
     pd.testing.assert_frame_equal(got, want)
+
+
+# ------------------------------- one-task plan vs exchange: same rows ----
+# The 9 queries that plan their input with ``_sized`` directly or through
+# ``_day_counts`` / the daily-series helpers, a per-type (a35) and a
+# whole-grid (g31) daily-series caller.
+SIZED_QUERIES = ["rollup_events_tier1", "g8_grouping_sets", "g25_stickiness",
+                 "w59_stickiness", "g38_daily_gini", "a99_xmr_chart",
+                 "w41_daily_type_corr", "a37_pettitt", "r1_retention_plan",
+                 "a35_seasonal_energy", "g31_dispersion_index"]
+
+
+@pytest.fixture(scope="module")
+def events_oracle_sql():
+    import __ray_entry__ as e
+
+    sql = e.oracle_sql()
+    return {n: sql[n] for n in SIZED_QUERIES}
+
+
+def _events_input(layout: str, tmp_path) -> str:
+    if layout == "sf0.001":
+        return SF
+    ev = pq.read_table(f"{SF}/events.parquet")
+    parts = tmp_path / "events.parquet"
+    if layout == "empty":
+        pq.write_table(ev.slice(0, 0), str(parts))
+        return str(tmp_path)
+    parts.mkdir()
+    step = -(-ev.num_rows // 8)
+    for i in range(8):
+        pq.write_table(ev.slice(i * step, step),
+                       str(parts / f"part-{i}.parquet"), row_group_size=64)
+    return str(tmp_path)
+
+
+def _frame_or_error(q, sf):
+    try:
+        return _sorted_frame(q(sf))
+    except ValueError as ex:  # r1_retention_plan has no max day on 0 rows
+        return repr(ex)
+
+
+@pytest.mark.parametrize("layout", ["sf0.001", "split", "empty"])
+@pytest.mark.parametrize("name", SIZED_QUERIES)
+def test_sized_plan_matches_exchange(ray_session, tmp_path, monkeypatch,
+                                     events_oracle_sql, name, layout):
+    import duckdb
+    import pandas as pd
+
+    import __ray_entry__ as e
+    from anomalydetection_ray.pipelines import queries, rollup
+
+    sf = _events_input(layout, tmp_path)
+    q = e.queries()[name]
+
+    def no_exchange(*args, **kwargs):
+        raise AssertionError("the one-task plan built the exchange")
+
+    with monkeypatch.context() as m:
+        m.setattr(queries, "_read", no_exchange)
+        one = _frame_or_error(q, sf)
+        if not isinstance(one, str):
+            assert q(sf).materialize().num_blocks() == 1
+    with monkeypatch.context() as m:
+        m.setattr(rollup, "_READ_TARGET_BYTES", -1)
+        exchanged = _frame_or_error(q, sf)
+    if isinstance(one, str) or isinstance(exchanged, str):
+        assert (layout, name) == ("empty", "r1_retention_plan")
+        assert one == exchanged
+        return
+    assert (len(one) == 0) == (layout == "empty")
+    pd.testing.assert_frame_equal(one, exchanged)
+    if layout == "sf0.001":
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
+        want = con.execute(events_oracle_sql[name]).fetchdf()
+
+        def canon(df):
+            df = df[sorted(df.columns)]
+            return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(canon(one), canon(want), check_dtype=False,
+                                      check_exact=True)

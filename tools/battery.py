@@ -19,6 +19,9 @@ Usage:
     python tools/battery.py [--sf /root/testdata/sf0.01] [--chunk 40]
                             [--json BENCH/battery_rN.json]
 
+A chunk that hangs past its bound is killed with its process group, then
+``ray stop --force``; its unreported queries take the re-run / MISSING path.
+
 Prints one PASS/FAIL/---- line per query (streamed from the chunks) and
 a final summary line; exit code 1 if any FAIL or MISSING.  With --json,
 also writes the aggregated results in the driver's CORRECTNESS_r*.json
@@ -31,22 +34,37 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 
+# The slowest single query took 65 s in battery_r7.
+CHUNK_TIMEOUT_S = 1200
+SOLO_TIMEOUT_S = 300
 
-def _run_chunk(chunk: list[str], sf: str) -> tuple[dict[str, dict], int]:
-    """Run one driver_check subprocess; return (results-by-name, returncode)."""
+
+def _run_chunk(chunk: list[str], sf: str, timeout: float) -> tuple[dict[str, dict], int]:
+    """Run one driver_check subprocess, killed after ``timeout`` seconds;
+    return (results-by-name, returncode)."""
     fd, jsonl_path = tempfile.mkstemp(suffix=".jsonl", prefix="battery_")
     os.close(fd)
     os.unlink(jsonl_path)  # driver_check appends; start clean
     try:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "tools/driver_check.py", "--sf", sf,
              "--jsonl", jsonl_path, *chunk],
-            capture_output=True, text=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
+        try:
+            proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            subprocess.run(["ray", "stop", "--force"], capture_output=True)
+            print(f"TIMEOUT {len(chunk)} queries from {chunk[0]}: killed after "
+                  f"{timeout:.0f} s", flush=True)
         results: dict[str, dict] = {}
         if os.path.exists(jsonl_path):
             with open(jsonl_path) as fh:
@@ -93,7 +111,7 @@ def main() -> None:
     all_results: dict[str, dict] = {}
     for lo in range(0, len(names), args.chunk):
         chunk = names[lo:lo + args.chunk]
-        results, rc = _run_chunk(chunk, args.sf)
+        results, rc = _run_chunk(chunk, args.sf, CHUNK_TIMEOUT_S)
         for name in chunk:
             if name in results:
                 rec = results[name]
@@ -111,7 +129,7 @@ def main() -> None:
             print(f"RERUN {name}: chunk rc={rc}, no result line — "
                   f"retrying individually", flush=True)
             for attempt in range(args.retries):
-                solo, _rc = _run_chunk([name], args.sf)
+                solo, _rc = _run_chunk([name], args.sf, SOLO_TIMEOUT_S)
                 if name in solo:
                     rec = solo[name]
                     all_results[name] = rec
