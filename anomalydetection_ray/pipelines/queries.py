@@ -10,12 +10,16 @@ bucket math (min/max/mean/count + robust anomaly score) over the
 ``events`` table, where the whole computation IS SQL-expressible — the
 strongest external check the rollup semantics get.
 
-Plan sizing: on input of at most one read target (``_READ_TARGET_BYTES``
-of planned row groups, the rule ``read_committed`` also uses) a grouped
-query runs as ONE Ray Data task through ``_sized``.  Its exchange (block
-partials -> shuffle -> finalize) pays a fixed per-stage scheduling cycle
-and only runs on larger input, where the shuffle has work to spread.  Both
-plans are built from the query's same Arrow closures.
+Plan sizing: ``sized_plan`` runs a grouped events query as ONE Ray Data
+task when its input fits one read target (``rollup.fits_one_target``: at
+most 32 MB of planned row groups, the size the engine plans its read
+units to), and as the query's exchange (block partials -> shuffle ->
+finalize) on larger input, whose read tasks split it.  The bound is that
+per-task input rule, not a speed crossover: on one node the one task was
+faster and had the lower worker peak RSS at every measured size up to 3x
+the target, on 1 and 4 CPU slots (``tools/plan_crossover.py``,
+``BENCH/plan_crossover.jsonl``).  Both plans are built from the query's
+same Arrow closures.
 
 Float-parity discipline: SQL-checked aggregates avoid distributed float
 summation (addition-order-dependent); sums are over exact integers, means
@@ -37,7 +41,7 @@ def _read(sf_dir: str, table: str, columns=None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-def _sized(sf_dir: str, table: str, columns, whole, exchange):
+def sized_plan(sf_dir: str, table: str, columns, whole, exchange):
     """A query over ``sf_dir/table`` sized to its input (module docstring):
     ``exchange(_read(sf_dir, table, columns))`` when the footer plan is
     over one read target, else ONE Ray Data task that reads every planned
@@ -49,7 +53,7 @@ def _sized(sf_dir: str, table: str, columns, whole, exchange):
     from anomalydetection_ray.pipelines import rollup
 
     units = rollup.plan_read_units(f"{sf_dir}/{table}.parquet")
-    if not units or sum(u["bytes"] for u in units) > rollup._READ_TARGET_BYTES:
+    if not units or not rollup.fits_one_target(units):
         return exchange(_read(sf_dir, table, columns))
 
     def run(batch: pa.Table) -> pa.Table:
@@ -82,7 +86,7 @@ def _daily_cents(sf_dir: str, finalize):
     grid ``(event_type, day, sum(x))``, all-int64 except the type.
     ``day`` is the UTC day number ``ts_us // 86_400_000_000`` and ``x``
     is ``floor(value*100 + 0.5)``, so every total is exact.  Over one
-    read target (``_sized``): per-block Arrow partials, ONE Ray exchange
+    read target (``sized_plan``): per-block Arrow partials, ONE Ray exchange
     on the (types x span-days)-bounded key, ``finalize`` on one block."""
     def partial(batch: pa.Table) -> pa.Table:
         us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
@@ -103,7 +107,7 @@ def _daily_cents(sf_dir: str, finalize):
                 .groupby(["event_type", "day"]).sum("x")
                 .repartition(1).map_batches(finalize, batch_format="pyarrow"))
 
-    return _sized(sf_dir, "events", ["event_type", "ts", "value"],
+    return sized_plan(sf_dir, "events", ["event_type", "ts", "value"],
                   lambda t: finalize(partial(t).rename_columns(
                       ["event_type", "day", "sum(x)"])), exchange)
 
@@ -133,7 +137,7 @@ def _daily_counts(sf_dir: str, finalize):
                 .aggregate(Sum("n", alias_name="n"))
                 .repartition(1).map_batches(finalize, batch_format="pyarrow"))
 
-    return _sized(sf_dir, "events", ["event_type", "ts"],
+    return sized_plan(sf_dir, "events", ["event_type", "ts"],
                   lambda t: finalize(partial(t)), exchange)
 
 
@@ -694,7 +698,7 @@ def rollup_events_tier1(sf_dir: str, num_partitions: int = 16):
         )
         return tagged.groupby(PKEY).map_groups(per_partition, batch_format="pyarrow")
 
-    return _sized(sf_dir, "events", ["event_id", "user_id", "value"], per_partition, exchange)
+    return sized_plan(sf_dir, "events", ["event_id", "user_id", "value"], per_partition, exchange)
 
 
 def g3_token_value_quantiles(sf_dir: str, qs=(0.5, 0.9, 0.99)):
@@ -1684,7 +1688,7 @@ def g8_grouping_sets(sf_dir: str):
         })
 
     keys = ["grain", "event_type", "day"]
-    return _sized(sf_dir, "events", ["event_type", "ts", "value"],
+    return sized_plan(sf_dir, "events", ["event_type", "ts", "value"],
                   lambda t: merge(partial(t)),
                   lambda ds: ds.map_batches(partial, batch_format="pyarrow",
                                             zero_copy_batch=True)
@@ -6101,7 +6105,7 @@ def g25_stickiness(sf_dir: str, window_days: int = 7,
         return partition_apply(fanned, ["out_day"], kernel,
                                num_partitions=num_partitions)
 
-    return _sized(sf_dir, "events", ["ts", "user_id"], whole, exchange)
+    return sized_plan(sf_dir, "events", ["ts", "user_id"], whole, exchange)
 
 
 # ---------------------------------------------------------------- A45 ----

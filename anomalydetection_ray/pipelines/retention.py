@@ -43,8 +43,8 @@ RETENTION_TIERS = (("tier0", 7), ("tier1", 14), ("tier2", None))
 
 def _day_counts(sf_dir: str):
     """(day, n_events) over the events table: per-block Arrow group_by
-    partials, tiny final per-day sum (one task on small input, ``_sized``)."""
-    from anomalydetection_ray.pipelines.queries import _sized
+    partials, tiny final per-day sum (one task on small input, ``sized_plan``)."""
+    from anomalydetection_ray.pipelines.queries import sized_plan
 
     def partial(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts")
@@ -60,7 +60,7 @@ def _day_counts(sf_dir: str):
         g = t.group_by("day").aggregate([("n", "sum")])
         return pa.table({"day": g.column("day"), "n": g.column("n_sum")})
 
-    return _sized(sf_dir, "events", ["ts"], lambda t: merge(partial(t)),
+    return sized_plan(sf_dir, "events", ["ts"], lambda t: merge(partial(t)),
                   lambda ds: ds.map_batches(partial, batch_format="pyarrow",
                                             zero_copy_batch=True)
                   .groupby("day").map_groups(merge, batch_format="pyarrow"))

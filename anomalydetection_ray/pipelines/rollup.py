@@ -98,6 +98,13 @@ def plan_read_units(path: str, target_bytes: int = _READ_TARGET_BYTES) -> list[d
     return units
 
 
+def fits_one_target(units: list[dict]) -> bool:
+    """Whether ``units`` (dicts with planned ``bytes``) total at most one
+    read target, the input one task may hold.  ``read_committed`` and the
+    events queries' ``sized_plan`` pick their plan by it."""
+    return sum(u["bytes"] for u in units) <= _READ_TARGET_BYTES
+
+
 def pack_read_units(units: list[dict], override_num_blocks: int | None) -> list[dict]:
     """Pack row-group units into task-sized items, each tagged with a
     deterministic unit_id (the resume key) and its planned ``bytes``."""
@@ -178,7 +185,7 @@ def read_committed(root: str):
     import ray.data
 
     files = [{"bytes": os.path.getsize(f)} for f in glob.glob(os.path.join(root, "*", "*.parquet"))]
-    n = len(slot_blocks(files)) if sum(f["bytes"] for f in files) <= _READ_TARGET_BYTES else 0
+    n = len(slot_blocks(files)) if fits_one_target(files) else 0
     return ray.data.read_parquet(root, override_num_blocks=n or None)
 
 

@@ -3675,7 +3675,7 @@ def w59_stickiness(sf_dir: str, num_partitions: int = 16):
     Scale shape: ONE ``_pkey`` exchange (user-partitioned), bounded
     (day, partials) exchange, single-group cumsum finalize over the
     bounded day grid."""
-    from anomalydetection_ray.pipelines.queries import _sized
+    from anomalydetection_ray.pipelines.queries import sized_plan
     from anomalydetection_ray.stages.detectors import _split_double
 
     def finalize(group: pa.Table) -> pa.Table:
@@ -3725,7 +3725,7 @@ def w59_stickiness(sf_dir: str, num_partitions: int = 16):
             .groupby("day").sum(["dau", "wdelta"])
             .repartition(1).map_batches(finalize, batch_format="pyarrow"))
 
-    return _sized(sf_dir, "events", ["ts", "user_id"], whole, exchange)
+    return sized_plan(sf_dir, "events", ["ts", "user_id"], whole, exchange)
 
 
 def w61_second_order_entropy(sf_dir: str, num_partitions: int = 16):

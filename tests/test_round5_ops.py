@@ -4755,13 +4755,31 @@ def test_daily_series_split_events(ray_session, tmp_path, name):
 
 
 # ------------------------------- one-task plan vs exchange: same rows ----
-# The 9 queries that plan their input with ``_sized`` directly or through
+# The 9 queries that plan their input with ``sized_plan`` directly or through
 # ``_day_counts`` / the daily-series helpers, a per-type (a35) and a
 # whole-grid (g31) daily-series caller.
 SIZED_QUERIES = ["rollup_events_tier1", "g8_grouping_sets", "g25_stickiness",
                  "w59_stickiness", "g38_daily_gini", "a99_xmr_chart",
                  "w41_daily_type_corr", "a37_pettitt", "r1_retention_plan",
                  "a35_seasonal_energy", "g31_dispersion_index"]
+# The other daily-series callers: test data never exceeds one read target,
+# so only this test runs their exchange plan.  One layout is enough; the
+# split and zero-row inputs reach the helpers through the queries above.
+DAILY_SERIES = ["a36_rescaled_range", "a38_mann_whitney", "a39_bartels_rvn",
+                "a41_variance_ratio", "a42_seasonal_mk", "a43_cox_stuart",
+                "a44_arch_effect", "a45_turning_point_test", "a47_hurst_aggvar",
+                "a48_seasonal_strength", "a49_brown_forsythe",
+                "g34_daily_quantile_band", "w44_daily_acf1", "a63_kpss",
+                "g40_kendall_daily", "a68_von_neumann", "w47_burst_runs",
+                "a69_jarque_bera", "w49_weekday_strength", "a70_df_slope",
+                "w51_robust_volatility", "a71_daily_mad_outliers",
+                "w57_burstiness", "g47_outlier_days", "c10_detector_agreement",
+                "a97_daily_mase", "g53_longest_drought", "w63_weekend_effect",
+                "a98_arrival_uniformity", "w66_trailing_bursts", "w67_lead_lag",
+                "a100_today_rank"]
+SIZED_CASES = [(n, layout) for n in SIZED_QUERIES
+               for layout in ("sf0.001", "split", "empty")] + \
+              [(n, "sf0.001") for n in DAILY_SERIES]
 
 
 @pytest.fixture(scope="module")
@@ -4769,7 +4787,7 @@ def events_oracle_sql():
     import __ray_entry__ as e
 
     sql = e.oracle_sql()
-    return {n: sql[n] for n in SIZED_QUERIES}
+    return {n: sql[n] for n in SIZED_QUERIES + DAILY_SERIES}
 
 
 def _events_input(layout: str, tmp_path) -> str:
@@ -4795,8 +4813,8 @@ def _frame_or_error(q, sf):
         return repr(ex)
 
 
-@pytest.mark.parametrize("layout", ["sf0.001", "split", "empty"])
-@pytest.mark.parametrize("name", SIZED_QUERIES)
+@pytest.mark.parametrize("name,layout", SIZED_CASES,
+                         ids=[f"{n}-{layout}" for n, layout in SIZED_CASES])
 def test_sized_plan_matches_exchange(ray_session, tmp_path, monkeypatch,
                                      events_oracle_sql, name, layout):
     import duckdb

@@ -38,15 +38,26 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 
-# The slowest single query took 65 s in battery_r7.
-CHUNK_TIMEOUT_S = 1200
-SOLO_TIMEOUT_S = 300
+# Bound on one driver_check run of n queries: SLOWEST_S + n * PER_QUERY_S.
+# A run's wall is Ray start-up (~15 s) plus, per query, the Ray query AND
+# its DuckDB oracle, which runs in the driver_check process itself.
+# Measured on sf0.01 (BENCH/battery_r8.log, 4-vCPU host): the slowest
+# query took 438 s end to end (pagerank_dup_graph, 403 s of it the
+# oracle), the slowest 40-query chunk ~1590 s; every run of n consecutive
+# sorted names, n = 1..447, fits in 32% of this bound.
+SLOWEST_S = 1350
+PER_QUERY_S = 120
 
 
-def _run_chunk(chunk: list[str], sf: str, timeout: float) -> tuple[dict[str, dict], int]:
-    """Run one driver_check subprocess, killed after ``timeout`` seconds;
-    return (results-by-name, returncode)."""
+def _bound(n: int) -> float:
+    return SLOWEST_S + n * PER_QUERY_S
+
+
+def _run_chunk(chunk: list[str], sf: str) -> tuple[dict[str, dict], int]:
+    """Run one driver_check subprocess, killed after ``_bound(len(chunk))``
+    seconds; return (results-by-name, returncode)."""
     fd, jsonl_path = tempfile.mkstemp(suffix=".jsonl", prefix="battery_")
     os.close(fd)
     os.unlink(jsonl_path)  # driver_check appends; start clean
@@ -57,14 +68,17 @@ def _run_chunk(chunk: list[str], sf: str, timeout: float) -> tuple[dict[str, dic
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True,
         )
+        t0 = time.monotonic()
         try:
-            proc.wait(timeout=timeout)
+            proc.wait(timeout=_bound(len(chunk)))
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             subprocess.run(["ray", "stop", "--force"], capture_output=True)
             print(f"TIMEOUT {len(chunk)} queries from {chunk[0]}: killed after "
-                  f"{timeout:.0f} s", flush=True)
+                  f"{_bound(len(chunk)):.0f} s", flush=True)
+        print(f"WALL {len(chunk)} queries from {chunk[0]}: "
+              f"{time.monotonic() - t0:.0f} s, rc={proc.returncode}", flush=True)
         results: dict[str, dict] = {}
         if os.path.exists(jsonl_path):
             with open(jsonl_path) as fh:
@@ -111,7 +125,7 @@ def main() -> None:
     all_results: dict[str, dict] = {}
     for lo in range(0, len(names), args.chunk):
         chunk = names[lo:lo + args.chunk]
-        results, rc = _run_chunk(chunk, args.sf, CHUNK_TIMEOUT_S)
+        results, rc = _run_chunk(chunk, args.sf)
         for name in chunk:
             if name in results:
                 rec = results[name]
@@ -129,7 +143,7 @@ def main() -> None:
             print(f"RERUN {name}: chunk rc={rc}, no result line — "
                   f"retrying individually", flush=True)
             for attempt in range(args.retries):
-                solo, _rc = _run_chunk([name], args.sf, SOLO_TIMEOUT_S)
+                solo, _rc = _run_chunk([name], args.sf)
                 if name in solo:
                     rec = solo[name]
                     all_results[name] = rec

@@ -64,11 +64,13 @@ def compare(name: str, q, sql: str | None, sf_dir: str) -> dict:
         p = os.path.join(sf_dir, f"{t}.parquet")
         if os.path.exists(p):
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
+    t0 = time.monotonic()
     try:
         ora_df = con.execute(sql).fetchdf()
     except Exception as e:  # noqa: BLE001
         out["err"] = f"oracle_crash: {type(e).__name__}: {e}"
         return out
+    out["oracle_s"] = round(time.monotonic() - t0, 2)
     out["oracle_rows"] = int(len(ora_df))
     out["rows_match"] = len(ray_df) == len(ora_df)
     out["schema_match"] = sorted(ray_df.columns) == sorted(ora_df.columns)
