@@ -10,16 +10,20 @@ bucket math (min/max/mean/count + robust anomaly score) over the
 ``events`` table, where the whole computation IS SQL-expressible — the
 strongest external check the rollup semantics get.
 
-Plan sizing: ``sized_plan`` runs a grouped events query as ONE Ray Data
+Plan sizing: ``sized_plan`` runs a grouped events query as ONE plain Ray
 task when its input fits one read target (``rollup.fits_one_target``: at
 most 32 MB of planned row groups, the size the engine plans its read
 units to), and as the query's exchange (block partials -> shuffle ->
-finalize) on larger input, whose read tasks split it.  The bound is that
-per-task input rule, not a speed crossover: on one node the one task was
-faster and had the lower worker peak RSS at every measured size up to 3x
-the target, on 1 and 4 CPU slots (``tools/plan_crossover.py``,
-``BENCH/plan_crossover.jsonl``).  Both plans are built from the query's
-same Arrow closures.
+finalize) on larger input, whose read tasks split it.  The one task runs
+no Ray Data executor: on small input most of a one-task Ray Data
+pipeline's wall was the executor's fixed cost, not Arrow work.  The bound
+is that per-task input rule, not a speed crossover: on one node, up to 3x
+the target on 1 and 4 CPU slots (``tools/plan_crossover.py``,
+``BENCH/plan_crossover.jsonl``), the one task was the faster plan for
+every query except ``r2_compact_events`` on 4 slots near the target,
+where it and the exchange's parallel per-day compaction were within
+noise of each other.  Both plans are built from the query's same Arrow
+closures.
 
 Float-parity discipline: SQL-checked aggregates avoid distributed float
 summation (addition-order-dependent); sums are over exact integers, means
@@ -28,6 +32,8 @@ interpolation semantics.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -41,13 +47,32 @@ def _read(sf_dir: str, table: str, columns=None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+def _read_whole(packed: dict, columns, whole) -> pa.Table:
+    from anomalydetection_ray.pipelines import rollup
+
+    t = rollup.read_packed_units(packed, columns)
+    return whole(t) if t.num_rows else pa.table({})
+
+
+@functools.cache
+def _whole_task():
+    import ray
+
+    return ray.remote(_read_whole)
+
+
 def sized_plan(sf_dir: str, table: str, columns, whole, exchange):
     """A query over ``sf_dir/table`` sized to its input (module docstring):
-    ``exchange(_read(sf_dir, table, columns))`` when the footer plan is
-    over one read target, else ONE Ray Data task that reads every planned
-    row-group range and returns ``whole(table)``.  A zero-row input gives
-    an empty, schema-less block, as the exchange does; ``whole`` is never
-    called on it."""
+    when the footer plan fits one read target, ONE plain Ray task reads
+    every planned row-group range and returns ``whole(table)``, which
+    becomes the one block of the Dataset; otherwise ``exchange(_read(sf_dir,
+    table, columns))``.  The one-task plan is eager: the driver fetches the
+    task's (aggregate-sized) result and wraps it with ``from_blocks``, which
+    takes the block metadata from the table itself, where
+    ``from_arrow_refs`` would run a second Ray task for it.  A zero-row
+    input gives an empty, schema-less block, as the exchange does;
+    ``whole`` is never called on it."""
+    import ray
     import ray.data
 
     from anomalydetection_ray.pipelines import rollup
@@ -55,15 +80,8 @@ def sized_plan(sf_dir: str, table: str, columns, whole, exchange):
     units = rollup.plan_read_units(f"{sf_dir}/{table}.parquet")
     if not units or not rollup.fits_one_target(units):
         return exchange(_read(sf_dir, table, columns))
-
-    def run(batch: pa.Table) -> pa.Table:
-        t = rollup.read_packed_units(batch.to_pydict(), columns)
-        return whole(t) if t.num_rows else pa.table({})
-
-    # not read_parquet(override_num_blocks=1): its one read task still
-    # yields several blocks, so a fused map_batches would run once per block
-    return ray.data.from_items(rollup.pack_read_units(units, 1), override_num_blocks=1) \
-        .map_batches(run, batch_size=None, batch_format="pyarrow")
+    packed = {k: [[u[k] for u in units]] for k in ("path", "rg_start", "rg_end")}
+    return ray.data.from_blocks([ray.get(_whole_task().remote(packed, columns, whole))])
 
 
 def _by_type(finalize):

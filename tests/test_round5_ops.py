@@ -4755,13 +4755,16 @@ def test_daily_series_split_events(ray_session, tmp_path, name):
 
 
 # ------------------------------- one-task plan vs exchange: same rows ----
-# The 9 queries that plan their input with ``sized_plan`` directly or through
-# ``_day_counts`` / the daily-series helpers, a per-type (a35) and a
-# whole-grid (g31) daily-series caller.
+# The 11 events_queries entries, which plan their input with ``sized_plan``
+# directly or through the daily-series helpers and the retention layout
+# helper, a per-type (a35) and a whole-grid (g31) daily-series caller.
 SIZED_QUERIES = ["rollup_events_tier1", "g8_grouping_sets", "g25_stickiness",
                  "w59_stickiness", "g38_daily_gini", "a99_xmr_chart",
                  "w41_daily_type_corr", "a37_pettitt", "r1_retention_plan",
+                 "r1_retention_apply", "r2_compact_events",
                  "a35_seasonal_energy", "g31_dispersion_index"]
+# the temp layouts retention_apply_events / compact_events stage and remove
+RETENTION_LAYOUTS = ("anomray_retention_", "anomray_compact_")
 # The other daily-series callers: test data never exceeds one read target,
 # so only this test runs their exchange plan.  One layout is enough; the
 # split and zero-row inputs reach the helpers through the queries above.
@@ -4806,17 +4809,13 @@ def _events_input(layout: str, tmp_path) -> str:
     return str(tmp_path)
 
 
-def _frame_or_error(q, sf):
-    try:
-        return _sorted_frame(q(sf))
-    except ValueError as ex:  # r1_retention_plan has no max day on 0 rows
-        return repr(ex)
-
-
 @pytest.mark.parametrize("name,layout", SIZED_CASES,
                          ids=[f"{n}-{layout}" for n, layout in SIZED_CASES])
 def test_sized_plan_matches_exchange(ray_session, tmp_path, monkeypatch,
                                      events_oracle_sql, name, layout):
+    import os
+    import tempfile
+
     import duckdb
     import pandas as pd
 
@@ -4829,18 +4828,21 @@ def test_sized_plan_matches_exchange(ray_session, tmp_path, monkeypatch,
     def no_exchange(*args, **kwargs):
         raise AssertionError("the one-task plan built the exchange")
 
+    def left_layouts():
+        return [n for n in os.listdir(tempfile.gettempdir()) if n.startswith(RETENTION_LAYOUTS)]
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
     with monkeypatch.context() as m:
         m.setattr(queries, "_read", no_exchange)
-        one = _frame_or_error(q, sf)
-        if not isinstance(one, str):
-            assert q(sf).materialize().num_blocks() == 1
+        one = _sorted_frame(q(sf))
+        assert left_layouts() == []
+        assert q(sf).materialize().num_blocks() == 1
     with monkeypatch.context() as m:
         m.setattr(rollup, "_READ_TARGET_BYTES", -1)
-        exchanged = _frame_or_error(q, sf)
-    if isinstance(one, str) or isinstance(exchanged, str):
-        assert (layout, name) == ("empty", "r1_retention_plan")
-        assert one == exchanged
-        return
+        exchanged = _sorted_frame(q(sf))
+        assert left_layouts() == []
     assert (len(one) == 0) == (layout == "empty")
     pd.testing.assert_frame_equal(one, exchanged)
     if layout == "sf0.001":

@@ -21,6 +21,8 @@ Usage:
 
 A chunk that hangs past its bound is killed with its process group, then
 ``ray stop --force``; its unreported queries take the re-run / MISSING path.
+A chunk that exits non-zero or is killed prints the tail of its stderr
+(``STDERR <first query>: ...`` lines).
 
 Prints one PASS/FAIL/---- line per query (streamed from the chunks) and
 a final summary line; exit code 1 if any FAIL or MISSING.  With --json,
@@ -49,6 +51,8 @@ import time
 # sorted names, n = 1..447, fits in 32% of this bound.
 SLOWEST_S = 1350
 PER_QUERY_S = 120
+# stderr lines shown for a run that exits non-zero or is killed
+STDERR_TAIL = 20
 
 
 def _bound(n: int) -> float:
@@ -57,15 +61,18 @@ def _bound(n: int) -> float:
 
 def _run_chunk(chunk: list[str], sf: str) -> tuple[dict[str, dict], int]:
     """Run one driver_check subprocess, killed after ``_bound(len(chunk))``
-    seconds; return (results-by-name, returncode)."""
+    seconds; return (results-by-name, returncode).  A run that exits
+    non-zero or is killed prints the last ``STDERR_TAIL`` lines of its
+    stderr."""
     fd, jsonl_path = tempfile.mkstemp(suffix=".jsonl", prefix="battery_")
     os.close(fd)
     os.unlink(jsonl_path)  # driver_check appends; start clean
+    err = tempfile.TemporaryFile(prefix="battery_", suffix=".err")
     try:
         proc = subprocess.Popen(
             [sys.executable, "tools/driver_check.py", "--sf", sf,
              "--jsonl", jsonl_path, *chunk],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=err,
             start_new_session=True,
         )
         t0 = time.monotonic()
@@ -79,6 +86,10 @@ def _run_chunk(chunk: list[str], sf: str) -> tuple[dict[str, dict], int]:
                   f"{_bound(len(chunk)):.0f} s", flush=True)
         print(f"WALL {len(chunk)} queries from {chunk[0]}: "
               f"{time.monotonic() - t0:.0f} s, rc={proc.returncode}", flush=True)
+        if proc.returncode != 0:
+            err.seek(0)
+            for line in err.read().decode(errors="replace").splitlines()[-STDERR_TAIL:]:
+                print(f"STDERR {chunk[0]}: {line}", flush=True)
         results: dict[str, dict] = {}
         if os.path.exists(jsonl_path):
             with open(jsonl_path) as fh:
@@ -90,6 +101,7 @@ def _run_chunk(chunk: list[str], sf: str) -> tuple[dict[str, dict], int]:
                     results[rec.pop("name")] = rec
         return results, proc.returncode
     finally:
+        err.close()
         if os.path.exists(jsonl_path):
             os.unlink(jsonl_path)
 

@@ -1,6 +1,6 @@
 """Time the events queries' one-task plan against their exchange plan.
 
-``queries.sized_plan`` runs a query as ONE Ray Data task when its input
+``queries.sized_plan`` runs a query as ONE plain Ray task when its input
 fits one read target (``rollup.fits_one_target``) and as the query's
 exchange otherwise.  This script runs both plans on the same inputs, at
 sizes on both sides of the target, so the threshold can be checked
@@ -35,10 +35,11 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-# The events_queries entries of perfbench that go through ``sized_plan``.
+# The events_queries entries of perfbench, which all go through ``sized_plan``.
 QUERIES = ["rollup_events_tier1", "g8_grouping_sets", "g25_stickiness",
            "w59_stickiness", "g38_daily_gini", "a99_xmr_chart",
-           "w41_daily_type_corr", "a37_pettitt", "r1_retention_plan"]
+           "w41_daily_type_corr", "a37_pettitt", "r1_retention_plan",
+           "r1_retention_apply", "r2_compact_events"]
 
 
 def _frame_hash(df) -> int:
