@@ -9,7 +9,7 @@ Per the contract, nothing here (or in the library) calls ray.init() /
 ray.shutdown(); only bench.py, CLI entry points and the test fixture own a
 Ray session.
 
-Round-5 final surface: 379 ``queries()`` entries, 374 with DuckDB value
+Surface: 447 ``queries()`` entries, 442 with DuckDB value
 oracles (the 5 oracle-less are side-effect/codec/approx summaries with
 content-pinned rows); the coverage map below lists the founding families —
 see COVERAGE.md for the complete per-operator table.
@@ -97,75 +97,40 @@ from collections.abc import Callable
 from typing import Any
 
 
-def _docs_sequences(sf_dir: str):
-    import ray.data
+def _per_series(fn: Callable, **params) -> Callable[[str], Any]:
+    """``sf_dir -> Dataset``: the tokenized ``documents`` corpus, validated
+    into series parts, through the per-series kernel ``fn(batch, **params)``."""
+    import functools
 
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    kernel = functools.partial(fn, **params) if params else fn
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"])
-    return docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True)
+    def run(sf_dir: str):
+        from anomalydetection_ray.pipelines.rollup import validated
+        from anomalydetection_ray.sources.tokenize import docs_sequences
+
+        return validated(docs_sequences(sf_dir)).map_batches(
+            kernel, batch_format="pyarrow", zero_copy_batch=True)
+
+    return run
 
 
 def entry() -> Any:
     """Flagship P1 rollup on /root/testdata/sf0.001: documents -> tokenize ->
     validate/split -> tier1+tier2 rollup.  Returns the tiers Dataset."""
     from anomalydetection_ray.pipelines.rollup import rollup_pipeline
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    return rollup_pipeline(_docs_sequences("/root/testdata/sf0.001"))
+    return rollup_pipeline(docs_sequences("/root/testdata/sf0.001"))
 
 
 def _rollup_tier(sf_dir: str, tier: int):
     from anomalydetection_ray.pipelines.rollup import rollup_pipeline
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    return rollup_pipeline(_docs_sequences(sf_dir)).filter(expr=f"tier == {tier}")
-
-
-def _detect(sf_dir: str, detector: str, **params):
-    import functools
-
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import detect_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        functools.partial(detect_batch, detector=detector, **params),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-def _shesd_evalue(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import shesd_expected_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        shesd_expected_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a23_tukey(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import tukey_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        tukey_batch, batch_format="pyarrow", zero_copy_batch=True)
+    return rollup_pipeline(docs_sequences(sf_dir)).filter(expr=f"tier == {tier}")
 
 
 ACF_LAGS = (1, 2, 3, 4, 6, 8, 12, 24)
-
-
-def _a46_ljung_box(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import ljung_box_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        ljung_box_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a26_acf_table(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import acf_table_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        acf_table_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _acf_lag_block(lag: int) -> str:
@@ -397,62 +362,6 @@ def _a62_sql() -> str:
     """
 
 
-def _a24_forecast_error(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import forecast_error_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        forecast_error_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a25_turning_points(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import turning_points_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        turning_points_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a27_perm_entropy(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import perm_entropy_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        perm_entropy_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a31_runs_test(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import runs_test_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        runs_test_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a32_amoc_split(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import amoc_split_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        amoc_split_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a28_sax(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import sax_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        sax_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _e4_varint_size(sf_dir: str):
-    from anomalydetection_ray.codecs import varint_size_batch
-    from anomalydetection_ray.pipelines.rollup import validated
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        varint_size_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def _c7_consensus(sf_dir: str, k: int = 25):
     """C7 — the family's end-use composite: every series through the
     ESD, CUSUM and threshold detectors in ONE pass (one kernel calls
@@ -463,7 +372,6 @@ def _c7_consensus(sf_dir: str, k: int = 25):
     import numpy as np
     import pyarrow as pa
 
-    from anomalydetection_ray.pipelines.rollup import validated
     from anomalydetection_ray.stages.detectors import detect_batch
     from anomalydetection_ray.stages.topk import topk
 
@@ -485,292 +393,10 @@ def _c7_consensus(sf_dir: str, k: int = 25):
             "n_threshold": pa.array(nt, type=pa.int64()),
         })
 
-    reports = validated(_docs_sequences(sf_dir)).map_batches(
-        kernel, batch_format="pyarrow", zero_copy_batch=True)
-    return topk(reports, k, [("votes", "descending"),
+    return topk(_per_series(kernel)(sf_dir), k, [("votes", "descending"),
                              ("n_esd", "descending"),
                              ("doc_id", "ascending"),
                              ("part_id", "ascending")])
-
-
-def _a67_cusum_squares(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import cusum_squares_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        cusum_squares_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a72_slope_break(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import slope_break_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        slope_break_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a73_mean_side(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import mean_side_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        mean_side_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a74_energy_chunks(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import energy_chunks_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        energy_chunks_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a76_extremum_location(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import extremum_location_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        extremum_location_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a79_reoccurring(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import reoccurring_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        reoccurring_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a82_index_mass_quantile(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import index_mass_quantile_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        index_mass_quantile_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _a80_beyond_sigma(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import beyond_sigma_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        beyond_sigma_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a84_abs_change(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import abs_change_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        abs_change_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a85_monotone_runs(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import monotone_run_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        monotone_run_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a86_symmetry(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import symmetry_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        symmetry_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a83_binned_entropy(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import binned_entropy_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        binned_entropy_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _a87_c3(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import c3_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        c3_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a88_bowley(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import bowley_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        bowley_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a93_last_rank(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import last_value_rank_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        last_value_rank_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _a89_time_reversal(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import time_reversal_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        time_reversal_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _a90_cid_ce(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import cid_ce_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        cid_ce_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a91_second_derivative(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import second_derivative_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        second_derivative_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _a94_peaks(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import peaks_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        peaks_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a66_records(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import records_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        records_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a65_hjorth(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import hjorth_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        hjorth_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a64_diff_sign(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import diff_sign_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        diff_sign_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _s28_codec_advisor(sf_dir: str):
-    from anomalydetection_ray.codecs import codec_advisor_batch
-    from anomalydetection_ray.pipelines.rollup import validated
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        codec_advisor_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _e7_dict_size(sf_dir: str):
-    from anomalydetection_ray.codecs import dict_size_batch
-    from anomalydetection_ray.pipelines.rollup import validated
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        dict_size_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _e6_for_size(sf_dir: str):
-    from anomalydetection_ray.codecs import for_size_batch
-    from anomalydetection_ray.pipelines.rollup import validated
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        for_size_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _e5_rle_size(sf_dir: str):
-    from anomalydetection_ray.codecs import rle_size_batch
-    from anomalydetection_ray.pipelines.rollup import validated
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        rle_size_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a62_binseg(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import binseg_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        binseg_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a61_remainder_acf(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import remainder_acf_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        remainder_acf_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _a57_wilcoxon_halves(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import wilcoxon_halves_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        wilcoxon_halves_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a58_friedman(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import (
-        friedman_seasonality_batch,
-    )
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        friedman_seasonality_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _a59_period_detect(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import period_detect_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        period_detect_batch, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-def _a13_longest_run(sf_dir: str):
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import longest_run_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        longest_run_batch, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _a9_autocorr(sf_dir: str, lag: int = 24):
-    import functools
-
-    from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.stages.detectors import autocorr_batch
-
-    return validated(_docs_sequences(sf_dir)).map_batches(
-        functools.partial(autocorr_batch, lag=lag),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
 
 
 def _k17_ann_recall(sf_dir: str):
@@ -856,6 +482,7 @@ def _compact_events(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
+    from anomalydetection_ray import codecs as cd
     from anomalydetection_ray.pipelines import bloom as bl
     from anomalydetection_ray.pipelines import dedup as dd
     from anomalydetection_ray.pipelines import kmeans as km
@@ -868,6 +495,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from anomalydetection_ray.pipelines import vocab as vb
     from anomalydetection_ray.pipelines import windows as wnd
     from anomalydetection_ray.pipelines.rollup import rollup_pipeline, topk_anomalies
+    from anomalydetection_ray.sources.tokenize import docs_sequences
+    from anomalydetection_ray.stages import detectors as det
 
     return {
         # training-data ops: dedup family (D-extras)
@@ -921,59 +550,61 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # images (pipelines/multimodal.py, tested)
         "media_features": mm.media_feature_summary,
         # per-series detectors (X1 registry; A2/A3/A6)
-        "detect_esd": lambda sf: _detect(sf, "esd"),
+        "detect_esd": _per_series(det.detect_batch, detector="esd"),
         # A3 direction knob (reference-family pos/neg one-sided modes,
         # one-tailed Rosner critical values — Hochenbaum et al. 2017 §3)
-        "detect_esd_pos": lambda sf: _detect(sf, "esd", direction="pos"),
-        "detect_esd_neg": lambda sf: _detect(sf, "esd", direction="neg"),
+        "detect_esd_pos": _per_series(
+            det.detect_batch, detector="esd", direction="pos"),
+        "detect_esd_neg": _per_series(
+            det.detect_batch, detector="esd", direction="neg"),
         # A3/A8 longterm piecewise mode: ESD per consecutive 100-point
         # window, local center/scale, series-global positions
-        "detect_esd_piecewise": lambda sf: _detect(sf, "esd_piecewise"),
-        "detect_shesd_piecewise": lambda sf: _detect(
-            sf, "shesd_piecewise"),
+        "detect_esd_piecewise": _per_series(det.detect_batch, detector="esd_piecewise"),
+        "detect_shesd_piecewise": _per_series(
+            det.detect_batch, detector="shesd_piecewise"),
         # A8 seasonal-hybrid ESD (per-phase-median de-seasonalize, then
         # robust ESD on the residual)
-        "detect_shesd": lambda sf: _detect(sf, "shesd"),
+        "detect_shesd": _per_series(det.detect_batch, detector="shesd"),
         # A8 one-sided seasonal variant
-        "detect_shesd_pos": lambda sf: _detect(sf, "shesd",
-                                               direction="pos"),
+        "detect_shesd_pos": _per_series(
+            det.detect_batch, detector="shesd", direction="pos"),
         # A52 S-H-ESD with the robust piecewise-median trend term (the
         # median-based stand-in for the family's STL step; docstring in
         # stages/detectors.py _det_shesd_trend)
-        "detect_shesd_trend": lambda sf: _detect(sf, "shesd_trend"),
+        "detect_shesd_trend": _per_series(det.detect_batch, detector="shesd_trend"),
         # A53 the family's threshold= knob (AnomalyDetectionTs
         # med_max/p95/p99): keep only anomalies whose raw value clears a
         # per-cycle-maxima threshold; one-sided pos detection underneath
-        "detect_shesd_thr_medmax": lambda sf: _detect(
-            sf, "shesd_threshold", threshold="med_max"),
-        "detect_shesd_thr_p95": lambda sf: _detect(
-            sf, "shesd_threshold", threshold="p95"),
-        "detect_shesd_thr_p99": lambda sf: _detect(
-            sf, "shesd_threshold", threshold="p99"),
+        "detect_shesd_thr_medmax": _per_series(
+            det.detect_batch, detector="shesd_threshold", threshold="med_max"),
+        "detect_shesd_thr_p95": _per_series(
+            det.detect_batch, detector="shesd_threshold", threshold="p95"),
+        "detect_shesd_thr_p99": _per_series(
+            det.detect_batch, detector="shesd_threshold", threshold="p99"),
         # A54 the family's e_value surface: exact-int sum of 2x the
         # expected (seasonal-median) value at each anomaly position
-        "detect_shesd_evalue": _shesd_evalue,
+        "detect_shesd_evalue": _per_series(det.shesd_expected_batch),
         # A55 the family's only_last= knob (AnomalyDetectionTs
         # 'day'/'hr'): full-series S-H-ESD, report only anomalies in the
         # last 1 / last 2 cycles (cycle = period-point chunk, partial
         # trailing cycle included)
-        "detect_shesd_onlylast": lambda sf: _detect(
-            sf, "shesd_onlylast", only_last=1),
-        "detect_shesd_onlylast2": lambda sf: _detect(
-            sf, "shesd_onlylast", only_last=2),
+        "detect_shesd_onlylast": _per_series(
+            det.detect_batch, detector="shesd_onlylast", only_last=1),
+        "detect_shesd_onlylast2": _per_series(
+            det.detect_batch, detector="shesd_onlylast", only_last=2),
         # A56 the family's alpha knob at a stricter significance level
         # (same unrolled-CTE oracle, one-percent lambda table)
-        "detect_esd_strict": lambda sf: _detect(sf, "esd", alpha=0.01),
+        "detect_esd_strict": _per_series(det.detect_batch, detector="esd", alpha=0.01),
         # A60 the family's max_anoms cap exercised off-default AND
         # binding: at most ONE anomaly removed per series (25 driver
         # docs exceed it at sf0.01, so the cap provably flows)
-        "detect_esd_maxanoms": lambda sf: _detect(sf, "esd", k_max=1),
+        "detect_esd_maxanoms": _per_series(det.detect_batch, detector="esd", k_max=1),
         # A8b the seasonal-component table the shesd detector subtracts
         "a8_seasonal_components": q.a8_seasonal_components,
         # A9 per-series lag-k autocorrelation feature (exact int moments)
-        "a9_autocorr": _a9_autocorr,
+        "a9_autocorr": _per_series(det.autocorr_batch, lag=24),
         # A13 longest run above the series mean (burst feature)
-        "a13_longest_run": _a13_longest_run,
+        "a13_longest_run": _per_series(det.longest_run_batch),
         # P4 overlapping-window chunking (map-only 1->many expansion)
         "p4_chunk_docs": _p4_chunk_docs,
         # G8 multi-grain aggregate (GROUPING SETS) in one scan
@@ -1024,37 +655,37 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "t7_pivot_events": q.t7_pivot_events,
         # J8 semi join (EXISTS; complement of J6 anti join)
         "j8_semi_join": q.j8_semi_join,
-        "detect_threshold": lambda sf: _detect(sf, "threshold"),
-        "detect_ewma": lambda sf: _detect(sf, "ewma"),
-        "detect_mad": lambda sf: _detect(sf, "mad"),
+        "detect_threshold": _per_series(det.detect_batch, detector="threshold"),
+        "detect_ewma": _per_series(det.detect_batch, detector="ewma"),
+        "detect_mad": _per_series(det.detect_batch, detector="mad"),
         # A22 Grubbs single-outlier test (classical k=1 ESD, ddof=1)
-        "detect_grubbs": lambda sf: _detect(sf, "grubbs"),
+        "detect_grubbs": _per_series(det.detect_batch, detector="grubbs"),
         # A23 Tukey boxplot fences per series (Q1/Q3/IQR + outlier counts)
-        "a23_tukey_fences": _a23_tukey,
+        "a23_tukey_fences": _per_series(det.tukey_batch),
         # A24 seasonal-naive forecast-baseline errors (MASE-style ratio)
-        "a24_forecast_error": _a24_forecast_error,
+        "a24_forecast_error": _per_series(det.forecast_error_batch),
         # A25 turning-point counts (randomness/smoothness screen)
-        "a25_turning_points": _a25_turning_points,
+        "a25_turning_points": _per_series(det.turning_points_batch),
         # A27 order-3 permutation entropy (Bandt & Pompe 2002): exact
         # ordinal-pattern counts + pinned fixed-order entropy fold
-        "a27_perm_entropy": _a27_perm_entropy,
+        "a27_perm_entropy": _per_series(det.perm_entropy_batch),
         # A28 SAX symbolization (Lin & Keogh 2007): PAA frames + Gaussian
         # breakpoints, exact-int frame sums, pinned breakpoint compares
-        "a28_sax": _a28_sax,
+        "a28_sax": _per_series(det.sax_batch),
         # A31 Wald-Wolfowitz runs test vs the series median: level-shift /
         # clustering randomness screen; exact int runs, pinned z
-        "a31_runs_test": _a31_runs_test,
+        "a31_runs_test": _per_series(det.runs_test_batch),
         # A32 AMOC mean-shift changepoint: exact-int argmax of
         # |mean_l - mean_r| over every split, float-pruned + bigint-confirmed
-        "a32_amoc_split": _a32_amoc_split,
+        "a32_amoc_split": _per_series(det.amoc_split_batch),
         # A33/A34 per-user nonparametric trend tests over event series
         "a33_mann_kendall": trend.a33_mann_kendall,
         "a34_theil_sen": trend.a34_theil_sen,
         # A26 ACF table (correlogram over a ladder of lags)
-        "a26_acf_table": _a26_acf_table,
+        "a26_acf_table": _per_series(det.acf_table_batch),
         # A7 CUSUM change-point detector (Page 1954, zero-slack two-sided
         # closed form: cumsum + running min/max over exact n-scaled ints)
-        "detect_cusum": lambda sf: _detect(sf, "cusum"),
+        "detect_cusum": _per_series(det.detect_batch, detector="cusum"),
         # flagship rollup over tokenized documents — fully SQL-checked: the
         # tokenizer, bucket math AND robust anomaly score (median/mad) are
         # all reproduced in the DuckDB oracle
@@ -1066,7 +697,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "gapfill_linear_docs": q.gapfill_linear_tier1,
         "gapfill_drop_docs": q.gapfill_drop_tier1,
         "topk_anomalies_docs": lambda sf: topk_anomalies(
-            rollup_pipeline(_docs_sequences(sf)), k=20
+            rollup_pipeline(docs_sequences(sf)), k=20
         ),
         # tier0 retention codecs (rows-only: not SQL-expressible)
         "tier0_encode": q.tier0_encode_summary,
@@ -1294,7 +925,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "a45_turning_point_test": q.a45_turning_point_test,
         # A46 Ljung-Box portmanteau whiteness test (scalar summary
         # of the A26 correlogram; pinned 3-lag fold)
-        "a46_ljung_box": _a46_ljung_box,
+        "a46_ljung_box": _per_series(det.ljung_box_batch),
         # P7 curriculum ordering (easy-first global rank over the
         # quantized quality score; third distributed-rank sibling)
         "p7_curriculum_order": pk.p7_curriculum_order,
@@ -1360,7 +991,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "g27_daily_new_users": q.g27_daily_new_users,
         # A57 Wilcoxon signed-rank halves test (paired level-shift
         # screen; exact midrank sums, pinned z)
-        "a57_wilcoxon_halves": _a57_wilcoxon_halves,
+        "a57_wilcoxon_halves": _per_series(det.wilcoxon_halves_batch),
         # W44 lag-1 ACF of zero-filled daily counts (persistence vs
         # G31's memoryless overdispersion)
         "w44_daily_acf1": q.w44_daily_acf1,
@@ -1378,13 +1009,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "g38_daily_gini": q.g38_daily_gini,
         # E5 run-length codec size (the rollup-tier codec; byte-exact
         # analytic replay like E4, roundtrip pytest-gated)
-        "e5_rle_size": _e5_rle_size,
+        "e5_rle_size": _per_series(cd.rle_size_batch),
         # V19 word frequency-of-frequencies spectrum (the Good-Turing
         # front table; totals never collect — second bounded histogram)
         "v19_freq_spectrum": vb.v19_freq_spectrum,
         # A64 difference-sign randomness test per series (strict
         # ascents vs m/2; exact counts, pinned z)
-        "a64_diff_sign": _a64_diff_sign,
+        "a64_diff_sign": _per_series(det.diff_sign_batch),
         # G39 PSI value-drift between day-span halves (decile bins
         # fitted on half A; NULL on any empty bin, fold-ordered sum)
         "g39_psi_drift": q.g39_psi_drift,
@@ -1402,7 +1033,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "k19_anova_f": km.k19_anova_f,
         # A65 Hjorth activity/mobility/complexity per series (the
         # no-FFT spectral triple; ratio-form split casts)
-        "a65_hjorth": _a65_hjorth,
+        "a65_hjorth": _per_series(det.hjorth_batch),
         # W45 repeat-purchase cadence per user (lower-median/min/max
         # inter-purchase gap; purchase filter before the exchange)
         "w45_purchase_cadence": wnd.w45_purchase_cadence,
@@ -1414,13 +1045,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "g41_ks_two_types": q.g41_ks_two_types,
         # A66 record counts vs harmonic expectation (Foster-Stuart
         # trend screen; exact prefix-extrema compares)
-        "a66_records": _a66_records,
+        "a66_records": _per_series(det.records_batch),
         # J19 last-touch attribution per purchase day (ASOF click
         # lookup + 7-day window; one co-partitioned exchange)
         "j19_last_touch": q.j19_last_touch,
         # A67 CUSUM-of-squares variance-change screen (Brown-Durbin-
         # Evans; exact prefix-of-squares argmax, split-cast ratio)
-        "a67_cusum_squares": _a67_cusum_squares,
+        "a67_cusum_squares": _per_series(det.cusum_squares_batch),
         # W46 per-user transition entropy (order-predictability of
         # behavior; W10's pairs collapsed per user, bounded fold)
         "w46_transition_entropy": wnd.w46_transition_entropy,
@@ -1435,7 +1066,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "k20_confusion_matrix": km.k20_confusion_matrix,
         # E6 frame-of-reference bitpack size (the Parquet-lineage
         # block codec; reduceat extrema + exact frexp widths)
-        "e6_for_size": _e6_for_size,
+        "e6_for_size": _per_series(cd.for_size_batch),
         # Q24 sqrt-temperature mixture plan over sources (alpha=0.5
         # upsampling weights; correctly-rounded sqrt, ordered fold)
         "q24_temperature_mixture": q.q24_temperature_mixture,
@@ -1507,33 +1138,33 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "k21_cluster_radii": km.k21_cluster_radii,
         # A72 slope-break changepoint (AMOC on first differences —
         # level/variance/slope changepoint triple complete)
-        "a72_slope_break": _a72_slope_break,
+        "a72_slope_break": _per_series(det.slope_break_batch),
         # A73 mean-side stats (count above/below mean + mean crossings;
         # all-exact-int stationarity screen, tsfresh family)
-        "a73_mean_side": _a73_mean_side,
+        "a73_mean_side": _per_series(det.mean_side_batch),
         # A74 energy distribution over 4 equal chunks (exact sum-of-
         # squares per chunk + smallest-index argmax)
-        "a74_energy_chunks": _a74_energy_chunks,
+        "a74_energy_chunks": _per_series(det.energy_chunks_batch),
         # A76 extremum locations (first/last position of max/min)
-        "a76_extremum_location": _a76_extremum_location,
+        "a76_extremum_location": _per_series(det.extremum_location_batch),
         # A79 reoccurring-value stats (distinct / reoccurring values
         # and points, with both sums — within-series dup structure)
-        "a79_reoccurring": _a79_reoccurring,
+        "a79_reoccurring": _per_series(det.reoccurring_batch),
         # A82 index-mass quantiles (smallest prefix carrying 25/50/75%
         # of the series mass; exact 4x-scaled compares)
-        "a82_index_mass_quantile": _a82_index_mass_quantile,
+        "a82_index_mass_quantile": _per_series(det.index_mass_quantile_batch),
         # A80 beyond-r-sigma counts (isqrt-lifted exact compares)
-        "a80_beyond_sigma": _a80_beyond_sigma,
+        "a80_beyond_sigma": _per_series(det.beyond_sigma_batch),
         # A84 absolute-change stats (|diff| sum/max + pinned mean)
-        "a84_abs_change": _a84_abs_change,
+        "a84_abs_change": _per_series(det.abs_change_batch),
         # A85 longest strictly monotone runs (ascent/descent streaks)
-        "a85_monotone_runs": _a85_monotone_runs,
+        "a85_monotone_runs": _per_series(det.monotone_run_batch),
         # A86 symmetry-looking flag (20|S - n*med| vs n*range)
-        "a86_symmetry": _a86_symmetry,
+        "a86_symmetry": _per_series(det.symmetry_batch),
         # G44 daily Simpson concentration (P[two events share a type])
         "g44_simpson_day": q.g44_simpson_day,
         # A83 binned entropy over the fixed 10-bin vocab grid
-        "a83_binned_entropy": _a83_binned_entropy,
+        "a83_binned_entropy": _per_series(det.binned_entropy_batch),
         # W55 activation latency (seconds from 1st to 5th event)
         "w55_time_to_kth": wnd.w55_time_to_kth,
         # T23 word-shape profile per source (num/caps/title/lower/other)
@@ -1543,25 +1174,25 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # G45 peak-to-median daily load per type
         "g45_peak_to_median": q.g45_peak_to_median,
         # A87 c3 nonlinearity statistic (hi/lo-split triple products)
-        "a87_c3": _a87_c3,
+        "a87_c3": _per_series(det.c3_batch),
         # A88 Bowley quartile skewness per series (robust shape)
-        "a88_bowley_skew": _a88_bowley,
+        "a88_bowley_skew": _per_series(det.bowley_batch),
         # A93 percentile rank of the last value per series (the
         # streaming-alert primitive evaluated in batch)
-        "a93_last_value_rank": _a93_last_rank,
+        "a93_last_value_rank": _per_series(det.last_value_rank_batch),
         # G46 Bowley skew + quartile dispersion per type off the
         # G43 cent histograms
         "g46_bowley_by_type": q.g46_bowley_by_type,
         # K23 nearest-other-centroid margin (redundant-cluster audit)
         "k23_centroid_margin": km.k23_centroid_margin,
         # A89 time-reversal asymmetry (signed hi/lo-split triple terms)
-        "a89_time_reversal": _a89_time_reversal,
+        "a89_time_reversal": _per_series(det.time_reversal_batch),
         # A90 CID complexity estimate (exact sum of squared diffs)
-        "a90_cid_ce": _a90_cid_ce,
+        "a90_cid_ce": _per_series(det.cid_ce_batch),
         # A91 mean central second derivative (telescoped numerator)
-        "a91_second_derivative": _a91_second_derivative,
+        "a91_second_derivative": _per_series(det.second_derivative_batch),
         # A94 strict peak counts at support 1 and 2
-        "a94_peaks": _a94_peaks,
+        "a94_peaks": _per_series(det.peaks_batch),
         # Q29 TPC-H Q3-shaped shipping priority (3-table join +
         # grouped revenue + block-pruned top-k)
         "q29_shipping_priority": q.q29_shipping_priority,
@@ -1591,7 +1222,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # X12 document-level co-occurrence lift of two words
         "x12_cooccurrence_lift": vb.x12_cooccurrence_lift,
         # E7 dictionary codec analytic size surface
-        "e7_dict_size": _e7_dict_size,
+        "e7_dict_size": _per_series(cd.dict_size_batch),
         # C10 MAD-vs-Tukey daily flag agreement per type
         "c10_detector_agreement": q.c10_detector_agreement,
         # W59 DAU/WAU stickiness curve (interval-union deltas)
@@ -1654,7 +1285,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # W64 same-action streakiness per type (mean run length)
         "w64_action_runs": wnd.w64_action_runs,
         # S28 per-series codec advisor (argmin of 4 size surfaces)
-        "s28_codec_advisor": _s28_codec_advisor,
+        "s28_codec_advisor": _per_series(cd.codec_advisor_batch),
         # G59 peak-hour stability per type (modal daily argmax)
         "g59_peak_hour_stability": q.g59_peak_hour_stability,
         # Q36 largest-remainder (Hamilton) sample apportionment
@@ -1738,7 +1369,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "t20_charset_profile": tx.t20_charset_profile,
         # E4 zigzag-varint delta codec size (byte-oriented cousin of
         # the Gorilla streams; size analytically SQL-replayable)
-        "e4_varint_size": _e4_varint_size,
+        "e4_varint_size": _per_series(cd.varint_size_batch),
         # G31 Poisson dispersion index of zero-filled daily counts
         # (overdispersion screen; exact ints, one pinned division)
         "g31_dispersion_index": q.g31_dispersion_index,
@@ -1747,16 +1378,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "w41_daily_type_corr": q.w41_daily_type_corr,
         # A62 depth-2 binary segmentation (A32's AMOC recursed into
         # each half — up to 3 offline mean-shift changepoints)
-        "a62_binseg": _a62_binseg,
+        "a62_binseg": _per_series(det.binseg_batch),
         # A61 remainder ACF after the robust decomposition (the
         # family's "check the STL remainder" adequacy step)
-        "a61_remainder_acf": _a61_remainder_acf,
+        "a61_remainder_acf": _per_series(det.remainder_acf_batch),
         # A59 seasonal period auto-detect (dominant-ACF lag over a
         # candidate grid; float-free exact-int argmax)
-        "a59_period_detect": _a59_period_detect,
+        "a59_period_detect": _per_series(det.period_detect_batch),
         # A58 Friedman rank test for a phase effect (certifies the
         # seasonality assumption S-H-ESD rests on; exact rank sums)
-        "a58_friedman_phases": _a58_friedman,
+        "a58_friedman_phases": _per_series(det.friedman_seasonality_batch),
         # T19 per-source word-length histogram (flat-buffer run
         # lengths, continuation bytes excluded; bounded exchange)
         "t19_word_len_hist": tx.t19_word_len_hist,

@@ -1157,16 +1157,11 @@ def dup_ngram_fraction(sf_dir: str, n: int = _GRAM_N, num_partitions: int = 64):
     doc_id for the final per-doc sums.  64-bit gram-hash collisions are
     the documented approximation, exactly as in the minhash family —
     and the oracle replays the same hash, so the gate is still exact."""
-    import ray.data
-
     from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
     from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text", "source"])
-    seqs = validated(docs.map_batches(tokenize_batch, batch_format="pyarrow",
-                                      zero_copy_batch=True))
+    seqs = validated(docs_sequences(sf_dir))
 
     def partial(batch: pa.Table) -> pa.Table:
         h, row_of = token_gram_hashes(batch, n=n)

@@ -250,18 +250,11 @@ def chunk_docs(sf_dir: str, chunk: int = CHUNK_LEN_DEFAULT,
     training-data sibling of P3's pack-and-split: RAG / long-context
     prep cuts each document into fixed windows with overlap).  Map-only:
     no shuffle, the expansion happens inside each task, output streams."""
-    import ray.data
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source", "text"])
-    return (docs
-            .map_batches(tokenize_batch, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(functools.partial(chunk_batch, chunk=chunk,
-                                           stride=stride),
-                         batch_format="pyarrow", zero_copy_batch=True))
+    return docs_sequences(sf_dir).map_batches(
+        functools.partial(chunk_batch, chunk=chunk, stride=stride),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def q10_systematic_sample(sf_dir: str, k: int = 10,
@@ -477,16 +470,10 @@ def span_corruption_batch(batch: pa.Table, noise_pct: int = 15) -> pa.Table:
 
 def q12_span_corruption(sf_dir: str):
     """Q12 — the span-corruption plan summary over the tokenized corpus."""
-    import ray.data
-
     from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text", "source"])
-    seqs = docs.map_batches(tokenize_batch, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return validated(seqs).map_batches(
+    return validated(docs_sequences(sf_dir)).map_batches(
         span_corruption_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -1348,19 +1335,9 @@ def p9_padding_waste(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from anomalydetection_ray.pipelines.rollup import validated
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    def _seqs(sf):
-        import ray.data
-
-        from anomalydetection_ray.sources.tokenize import tokenize_batch
-
-        docs = ray.data.read_parquet(f"{sf}/documents.parquet",
-                                     columns=["doc_id", "text",
-                                              "source"])
-        return docs.map_batches(tokenize_batch, batch_format="pyarrow",
-                                zero_copy_batch=True)
-
-    ds = validated(_seqs(sf_dir))
+    ds = validated(docs_sequences(sf_dir))
 
     def partial(batch: pa.Table) -> pa.Table:
         tokens = batch.column("tokens")

@@ -84,14 +84,14 @@ def sized_plan(sf_dir: str, table: str, columns, whole, exchange):
     return ray.data.from_blocks([ray.get(_whole_task().remote(packed, columns, whole))])
 
 
-def _by_type(finalize):
+def _by_type(finalize, key: str = "day"):
     """``groupby("event_type").map_groups(finalize)`` over the bounded
-    (event_type, day) grid in one block: sort by (type, day), split at the
+    (event_type, key) grid in one block: sort by (type, key), split at the
     type runs, concatenate the per-type outputs."""
     from anomalydetection_ray.stages.runs import run_starts
 
     def apply(grid: pa.Table) -> pa.Table:
-        grid = grid.sort_by([("event_type", "ascending"), ("day", "ascending")])
+        grid = grid.sort_by([("event_type", "ascending"), (key, "ascending")])
         bounds = [*run_starts(grid, ["event_type"]).tolist(), grid.num_rows]
         return pa.concat_tables([finalize(grid.slice(a, b - a))
                                  for a, b in zip(bounds, bounds[1:])])
@@ -157,6 +157,41 @@ def _daily_counts(sf_dir: str, finalize):
 
     return sized_plan(sf_dir, "events", ["event_type", "ts"],
                   lambda t: finalize(partial(t)), exchange)
+
+
+def _benford_counts(sf_dir: str, finalize):
+    """``finalize`` per event type over the leading-character counts of
+    ``events``' cent values, the grid ``(event_type, digit, n)``: ``digit``
+    is the first character of the decimal string of the exact cents
+    integer ``floor(value*100 + 0.5)`` (``"0"`` for zero cents, ``"-"`` for
+    negative ones), ``n`` an int64 count.  Same plan as ``_daily_counts``;
+    ``finalize`` gets one type's rows sorted by digit."""
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Sum
+
+    def partial(batch: pa.Table) -> pa.Table:
+        v = np.asarray(batch.column("value"), dtype=np.float64)
+        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        digit = pc.utf8_slice_codeunits(
+            pc.cast(pa.array(cents), pa.string()), 0, 1)
+        t = pa.table({"event_type": batch.column("event_type"),
+                      "digit": digit})
+        g = t.group_by(["event_type", "digit"]).aggregate([([], "count_all")])
+        return pa.table({"event_type": g.column("event_type"),
+                         "digit": g.column("digit"),
+                         "n": pc.cast(g.column("count_all"), pa.int64())})
+
+    per_type = _by_type(finalize, "digit")
+
+    def exchange(ds):
+        return (ds.map_batches(partial, batch_format="pyarrow",
+                               zero_copy_batch=True)
+                .groupby(["event_type", "digit"])
+                .aggregate(Sum("n", alias_name="n"))
+                .repartition(1).map_batches(per_type, batch_format="pyarrow"))
+
+    return sized_plan(sf_dir, "events", ["event_type", "value"],
+                      lambda t: per_type(partial(t)), exchange)
 
 
 # ---------------------------------------------------------------- G2 ----
@@ -486,7 +521,7 @@ def m3_token_fns(sf_dir: str):
     as a comma string — both reproducible by the DuckDB oracle, unlike a
     crc32.  Fully vectorized over the batch's flat token buffer."""
     from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
     from anomalydetection_ray.stages.rollup import _flat_tokens
 
     def fns(batch: pa.Table) -> pa.Table:
@@ -521,8 +556,7 @@ def m3_token_fns(sf_dir: str):
             }
         )
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    seqs = docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True)
+    seqs = docs_sequences(sf_dir)
     return validated(seqs).map_batches(fns, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -611,12 +645,11 @@ def p1_persist_summary(sf_dir: str):
     import tempfile
 
     from anomalydetection_ray.pipelines.rollup import rollup_persist
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
     # materialize a small sequences parquet first (persist plans from files)
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     seq_dir = tempfile.mkdtemp(prefix="p1seq_")
-    docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True).write_parquet(seq_dir)
+    docs_sequences(sf_dir).write_parquet(seq_dir)
     out = tempfile.mkdtemp(prefix="p1out_")
     return rollup_persist(seq_dir, out, resume=False, override_num_blocks=8)
 
@@ -627,11 +660,10 @@ def p2_persist_summary(sf_dir: str):
     import tempfile
 
     from anomalydetection_ray.pipelines.ingest import ingest_persist
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     seq_dir = tempfile.mkdtemp(prefix="p2seq_")
-    docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True).write_parquet(seq_dir)
+    docs_sequences(sf_dir).write_parquet(seq_dir)
     out = tempfile.mkdtemp(prefix="p2out_")
     # encoded_bytes + encoder_state_hash pin the persisted tier0 content
     # into the driver's rows-only hash, not just counts
@@ -731,11 +763,9 @@ def g3_token_value_quantiles(sf_dir: str, qs=(0.5, 0.9, 0.99)):
 
     from anomalydetection_ray.constants import DEFAULT_VOCAB
     from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    seqs = validated(docs.map_batches(tokenize_batch, batch_format="pyarrow",
-                                      zero_copy_batch=True))
+    seqs = validated(docs_sequences(sf_dir))
 
     def hist_batch(batch: pa.Table) -> pa.Table:
         tokens = batch.column("tokens")
@@ -858,10 +888,9 @@ def tier0_encode_summary(sf_dir: str):
 
     from anomalydetection_ray.pipelines.ingest import ingest_pipeline
     from anomalydetection_ray.pipelines.rollup import validated as _validated
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    seqs = docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True)
+    seqs = docs_sequences(sf_dir)
     out = tempfile.mkdtemp(prefix="tier0_q_")
     summary = ingest_pipeline(seqs, out, num_parts=16, resume=False)
     return summary.select_columns(
@@ -875,10 +904,9 @@ def roundtrip_verify(sf_dir: str):
     import tempfile
 
     from anomalydetection_ray.pipelines.ingest import ingest_pipeline, verify_tier0
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    seqs = docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True)
+    seqs = docs_sequences(sf_dir)
     out = tempfile.mkdtemp(prefix="tier0_rt_")
     ingest_pipeline(seqs, out, num_parts=16, resume=False).materialize()
     # value_checksum pins the decoded token bytes of every part into the
@@ -894,10 +922,9 @@ def s3_token_counts(sf_dir: str):
     from ray.data.aggregate import Count, Sum
 
     from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    seqs = docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True)
+    seqs = docs_sequences(sf_dir)
     v = validated(seqs)
     return v.groupby("source").aggregate(
         Count(alias_name="parts"),
@@ -942,10 +969,9 @@ def inject_gaps(batch: pa.Table) -> pa.Table:
 
 def _gapfill_tier1(sf_dir: str, policy: str):
     from anomalydetection_ray.pipelines.rollup import rollup_pipeline
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    seqs = docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True)
+    seqs = docs_sequences(sf_dir)
     gapped = seqs.map_batches(inject_gaps, batch_format="pyarrow", zero_copy_batch=True)
     return rollup_pipeline(gapped, policy=policy).filter(expr="tier == 1")
 
@@ -2550,15 +2576,10 @@ def a8_seasonal_components(sf_dir: str, period: int = 24):
 
     from anomalydetection_ray.functions.stats import segment_medians
     from anomalydetection_ray.pipelines.rollup import validated
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
     import pyarrow.compute as pc
-    import ray.data
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source", "text"])
-    seqs = validated(docs.map_batches(tokenize_batch, batch_format="pyarrow",
-                                      zero_copy_batch=True))
+    seqs = validated(docs_sequences(sf_dir))
 
     def components(batch: pa.Table) -> pa.Table:
         from anomalydetection_ray.stages.rollup import _flat_tokens
@@ -3072,36 +3093,11 @@ def t11_benford_digits(sf_dir: str):
     ints; the float tail (expected fraction, chi2) is a pinned sequence
     of scalar libm ops identical on both sides.
 
-    Scale shape: per-block Arrow group_by partials (<= types*9 rows per
-    block), one tiny exchange on event_type."""
+    Plan: ``_benford_counts``, shared with G58."""
     import math
 
-    import pyarrow.compute as pc
-
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column("value")
-        if isinstance(v, pa.ChunkedArray):
-            v = v.combine_chunks()
-        cents = np.floor(np.asarray(v, dtype=np.float64) * 100.0
-                         + 0.5).astype(np.int64)
-        digit = pc.utf8_slice_codeunits(
-            pc.cast(pa.array(cents), pa.string()), 0, 1)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "digit": digit})
-        g = t.group_by(["event_type", "digit"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "digit": g.column("digit"),
-                         "n": pc.cast(g.column("count_all"), pa.int64())})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def finish(group: pa.Table) -> pa.Table:
-        t = group.group_by(["event_type", "digit"]).aggregate([("n", "sum")])
-        t = t.sort_by([("digit", "ascending")])
-        n = np.asarray(t.column("n_sum"), dtype=np.int64)
+    def finish(t: pa.Table) -> pa.Table:
+        n = np.asarray(t.column("n"), dtype=np.int64)
         total = int(n.sum())
         digits = [int(d) for d in t.column("digit").to_pylist()]
         # pinned scalar float tail (math.log10 == DuckDB log10, same libm)
@@ -3124,8 +3120,7 @@ def t11_benford_digits(sf_dir: str):
             "chi2_term": pa.array(chi2, type=pa.float64()),
         })
 
-    return partials.groupby("event_type").map_groups(finish,
-                                                     batch_format="pyarrow")
+    return _benford_counts(sf_dir, finish)
 
 
 # ---------------------------------------------------------------- G15 ----
@@ -6030,100 +6025,18 @@ def a44_arch_effect(sf_dir: str):
 
 
 # ---------------------------------------------------------------- G25 ----
-def g25_stickiness(sf_dir: str, window_days: int = 7,
-                   num_partitions: int = 16):
+def g25_stickiness(sf_dir: str):
     """G25 — DAU / trailing-WAU stickiness per day: daily active users
     over the trailing-7-day active users — THE product-engagement
     ratio (a user base that shows up most days sticks near 1/1; a
-    weekly-batch crowd sits near 1/7).  G19's windowed-distinct
-    machinery applied globally.
+    weekly-batch crowd sits near 1/7).
 
-    Scale shape: per-block pre-distinct shrinks the first exchange to
-    unique (day, user) pairs; DAU is a bounded per-day count; WAU fans
-    each pair out to its <= 7 contributing days (bounded-by-time
-    blowup), one exchange on out_day, vectorized run-boundary distinct
-    count.  stickiness is one pinned division."""
-    from anomalydetection_ray.stages.runs import (keep_first_by,
-                                                  partition_apply,
-                                                  run_starts)
+    The rows of ``w59_stickiness`` (windows.py) on the days with at
+    least one daily active user, from W59's own plan: days without one
+    are dropped inside its finalize, so every ratio is defined."""
+    from anomalydetection_ray.pipelines.windows import _stickiness
 
-    def to_pairs(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        day = us // 86_400_000_000
-        t = pa.table({"day": pa.array(day, type=pa.int64()),
-                      "user_id": batch.column("user_id")})
-        return t.group_by(["day", "user_id"]).aggregate([])
-
-    def expand(batch: pa.Table, observed: np.ndarray) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return pa.table({"out_day": pa.array([], type=pa.int64()),
-                             "user_id": pa.array([], type=pa.int64()),
-                             "is_dau": pa.array([], type=pa.bool_())})
-        day = np.asarray(batch.column("day"), dtype=np.int64)
-        uid = np.asarray(batch.column("user_id"), dtype=np.int64)
-        off = np.arange(window_days, dtype=np.int64)
-        out = (day[:, None] + off[None, :]).reshape(-1)
-        u = np.repeat(uid, window_days)
-        keep = np.isin(out, observed)
-        out, u = out[keep], u[keep]
-        is_dau = (out - np.repeat(day, window_days)[keep]) == 0
-        return pa.table({"out_day": pa.array(out, type=pa.int64()),
-                         "user_id": pa.array(u, type=pa.int64()),
-                         "is_dau": pa.array(is_dau, type=pa.bool_())})
-
-    def kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table({"day": pa.array([], type=pa.int64()),
-                             "dau": pa.array([], type=pa.int64()),
-                             "wau": pa.array([], type=pa.int64()),
-                             "stickiness": pa.array([],
-                                                    type=pa.float64())})
-        part = part.sort_by([("out_day", "ascending"),
-                             ("user_id", "ascending")])
-        d = np.asarray(part.column("out_day"), dtype=np.int64)
-        u = np.asarray(part.column("user_id"), dtype=np.int64)
-        dau_flag = np.asarray(part.column("is_dau"))
-        starts = run_starts(part, ["out_day"])
-        # distinct users per day run: user changes within the run
-        new_u = np.ones(len(u), dtype=np.int64)
-        new_u[1:] = ((u[1:] != u[:-1]) | (d[1:] != d[:-1])).astype(
-            np.int64)
-        wau = np.add.reduceat(new_u, starts)
-        dau = np.add.reduceat(dau_flag.astype(np.int64), starts)
-        return pa.table({
-            "day": pa.array(d[starts], type=pa.int64()),
-            "dau": pa.array(dau, type=pa.int64()),
-            "wau": pa.array(wau, type=pa.int64()),
-            "stickiness": pa.array(dau.astype(np.float64)
-                                   / wau.astype(np.float64),
-                                   type=pa.float64()),
-        })
-
-    def whole(t: pa.Table) -> pa.Table:
-        pairs = to_pairs(t)
-        return kernel(expand(pairs, np.unique(np.asarray(pairs.column("day")))))
-
-    def exchange(ds):
-        pre = ds.map_batches(to_pairs, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        pairs = keep_first_by(pre, keys=["day", "user_id"],
-                              num_partitions=num_partitions).materialize()
-        day_rows = (pairs.map_batches(
-            lambda b: pa.table({"day": b.column("day")})
-            .group_by(["day"]).aggregate([]),
-            batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("day").count().take_all())
-        observed = np.unique(np.asarray([int(r["day"]) for r in day_rows],
-                                        dtype=np.int64))
-        fanned = pairs.map_batches(expand, fn_args=(observed,),
-                                   batch_format="pyarrow",
-                                   zero_copy_batch=True)
-        return partition_apply(fanned, ["out_day"], kernel,
-                               num_partitions=num_partitions)
-
-    return sized_plan(sf_dir, "events", ["ts", "user_id"], whole, exchange)
+    return _stickiness(sf_dir, active_only=True)
 
 
 # ---------------------------------------------------------------- A45 ----
@@ -10616,63 +10529,36 @@ def g58_benford(sf_dir: str):
     fold: e_d = split(n)*p_d, term = (split(n_d)-e_d)^2/e_d with
     p_d = log10(1+1/d) evaluated via libm on both sides.
 
-    Scale shape: bounded (type, digit) exchange; per-type finalize
-    over 9 rows."""
+    Plan: ``_benford_counts``, shared with T11; the digits 1-9 are the
+    positive cent values (a zero or negative one starts with 0 or -)."""
     import math
-
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        pos = cents > 0
-        s = pc.cast(pa.array(cents[pos]), pa.string())
-        d = pc.utf8_slice_codeunits(s, 0, 1)
-        t = pa.table({
-            "event_type": batch.column("event_type").filter(
-                pa.array(pos)),
-            "digit": pc.cast(d, pa.int64()),
-        })
-        g = t.group_by(["event_type", "digit"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "digit": g.column("digit"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "digit"])
-              .aggregate(Sum("n", alias_name="n")))
-
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        dig = np.asarray(group.column("digit"), dtype=np.int64)
-        n = np.asarray(group.column("n"), dtype=np.int64)
-        full = np.zeros(9, dtype=np.int64)
-        full[dig - 1] = n
+        counts = dict(zip(group.column("digit").to_pylist(),
+                          group.column("n").to_pylist()))
+        full = np.array([counts.get(str(d), 0) for d in range(1, 10)],
+                        dtype=np.int64)
         total = int(full.sum())
         chi2 = 0.0
-        for d in range(1, 10):
+        for d in range(1, 10) if total else ():
             p = math.log10(1.0 + 1.0 / float(d))
             e = _split_double(total) * p
             diff = _split_double(int(full[d - 1])) - e
             chi2 = chi2 + (diff * diff) / e
-        return pa.table({
+        out = pa.table({
             "event_type": pa.array([et] * 9, type=pa.string()),
             "digit": pa.array(np.arange(1, 10, dtype=np.int64)),
             "n": pa.array(full, type=pa.int64()),
             "n_total": pa.array([total] * 9, type=pa.int64()),
             "chi2_benford": pa.array([chi2] * 9, type=pa.float64()),
         })
+        # a type with no positive cent value has no row, as in the SQL
+        return out if total else out.slice(0, 0)
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _benford_counts(sf_dir, finalize)
 
 
 # ---------------------------------------------------------------- Q35 ----

@@ -641,15 +641,10 @@ def v11_coverage_curve(sf_dir: str, num_partitions: int = 8):
     per-partition kernel merges partials with reduceat and walks each
     source's sorted cumsum with searchsorted — all exact integers
     (coverage test: 100*cum >= p*total)."""
-    import ray.data
-
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
     from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text", "source"])
-    partials = docs.map_batches(tokenize_batch, batch_format="pyarrow",
-                                zero_copy_batch=True).map_batches(
+    partials = docs_sequences(sf_dir).map_batches(
         _tok_count_partial, batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:

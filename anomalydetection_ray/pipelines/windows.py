@@ -3675,6 +3675,13 @@ def w59_stickiness(sf_dir: str, num_partitions: int = 16):
     Scale shape: ONE ``_pkey`` exchange (user-partitioned), bounded
     (day, partials) exchange, single-group cumsum finalize over the
     bounded day grid."""
+    return _stickiness(sf_dir, active_only=False,
+                       num_partitions=num_partitions)
+
+
+def _stickiness(sf_dir: str, active_only: bool, num_partitions: int = 16):
+    """W59's plan.  ``active_only`` keeps only the days with a daily
+    active user (G25's rows), inside the finalize both plans run."""
     from anomalydetection_ray.pipelines.queries import sized_plan
     from anomalydetection_ray.stages.detectors import _split_double
 
@@ -3701,13 +3708,14 @@ def w59_stickiness(sf_dir: str, num_partitions: int = 16):
         stick[ok] = np.array(
             [_split_double(int(d)) / _split_double(int(w))
              for d, w in zip(dense_d[ok], wau[ok])])
-        return pa.table({
+        out = pa.table({
             "day": pa.array(span, type=pa.int64()),
             "dau": pa.array(dense_d, type=pa.int64()),
             "wau": pa.array(wau, type=pa.int64()),
             "stickiness": pa.array(stick, type=pa.float64(),
                                    mask=~ok),
         })
+        return out.filter(pa.array(dense_d > 0)) if active_only else out
 
     def whole(t: pa.Table) -> pa.Table:
         g = _stickiness_kernel(t).group_by("day").aggregate(

@@ -78,3 +78,14 @@ def tokenize_batch(batch: pa.Table, vocab: int = DEFAULT_VOCAB) -> pa.Table:
             "source": batch.column("source"),
         }
     )
+
+
+def docs_sequences(sf_dir: str):
+    """``sf_dir/documents.parquet`` (doc_id, text, source) through
+    ``tokenize_batch``: the tokenized corpus as a sequences Dataset."""
+    import ray.data
+
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                                 columns=["doc_id", "text", "source"])
+    return docs.map_batches(tokenize_batch, batch_format="pyarrow",
+                            zero_copy_batch=True)

@@ -1768,7 +1768,9 @@ def records_batch(batch: pa.Table) -> pa.Table:
     Counts are exact ints (prefix max/min compares, vectorized per
     series); ``expected_records`` folds 1/i left in ascending-i order
     from 0.0 — the oracle replays the fold via list_transform +
-    list_reduce."""
+    list_reduce.  ``np.add.accumulate`` is that same sequential fold, so
+    one table of its prefixes, indexed by series length, serves every
+    row."""
     from anomalydetection_ray.stages.rollup import _flat_tokens
 
     vals, valid, offsets = _flat_tokens(batch)
@@ -1779,7 +1781,6 @@ def records_batch(batch: pa.Table) -> pa.Table:
     nrows = lens.shape[0]
     n_high = np.zeros(nrows, dtype=np.int64)
     n_low = np.zeros(nrows, dtype=np.int64)
-    exp = np.zeros(nrows, dtype=np.float64)
     for r in range(nrows):
         x = v[offsets[r]:offsets[r + 1]]
         if x.shape[0] >= 2:
@@ -1787,10 +1788,10 @@ def records_batch(batch: pa.Table) -> pa.Table:
             pmin = np.minimum.accumulate(x)[:-1]
             n_high[r] = int((x[1:] > pmax).sum())
             n_low[r] = int((x[1:] < pmin).sum())
-        acc = 0.0
-        for i in range(2, int(x.shape[0]) + 1):
-            acc = acc + 1.0 / float(i)
-        exp[r] = acc
+    maxlen = int(lens.max(initial=0))
+    h = np.concatenate(([0.0, 0.0], np.add.accumulate(
+        1.0 / np.arange(2, maxlen + 1, dtype=np.float64))))
+    exp = h[lens]
     return pa.table({
         "doc_id": batch.column("doc_id"),
         "part_id": batch.column("part_id"),

@@ -155,7 +155,7 @@ def run_bench(sf_dir: str, num_cpus: int, phases: list[str]) -> dict:
         rollup_pipeline,
         topk_anomalies,
     )
-    from anomalydetection_ray.sources.tokenize import tokenize_batch
+    from anomalydetection_ray.sources.tokenize import docs_sequences
 
     sf = sf_of(sf_dir)
     # per-task cpu sizing, measured per phase on this host class (the VM's
@@ -207,10 +207,7 @@ def run_bench(sf_dir: str, num_cpus: int, phases: list[str]) -> dict:
 
     if "rollup_docs" in phases:
         t0 = time.monotonic()
-        docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                     columns=["doc_id", "text", "source"])
-        seqs = docs.map_batches(tokenize_batch, batch_format="pyarrow", zero_copy_batch=True)
-        n = rollup_pipeline(seqs).count()
+        n = rollup_pipeline(docs_sequences(sf_dir)).count()
         res["queries"]["rollup_docs"] = time.monotonic() - t0
         extras["rollup_docs_points"] = n
 

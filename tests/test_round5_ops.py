@@ -1335,6 +1335,8 @@ def test_records_bruteforce():
     rng = np.random.default_rng(41)
     series = [list(rng.integers(0, 50, size=rng.integers(1, 150)))
               for _ in range(20)]
+    series.append([7])                    # one token: expectation 0.0
+    series.append(list(rng.integers(0, 1000, size=3000)))
     series.append(list(range(30)))        # every step an upper record
     series.append([9] * 12)               # no records at all
     out = records_batch(_tok_batch(series)).to_pylist()
@@ -3244,8 +3246,10 @@ def test_w59_stickiness_bruteforce(ray_session):
 def test_w59_interval_union_handles_gaps(ray_session, tmp_path):
     import os
 
+    import pandas as pd
     import pyarrow.parquet as _pq
 
+    from anomalydetection_ray.pipelines.queries import g25_stickiness
     from anomalydetection_ray.pipelines.windows import w59_stickiness
 
     # one user active days 0 and 20: WAU must drop to 0-coverage
@@ -3268,6 +3272,10 @@ def test_w59_interval_union_handles_gaps(ray_session, tmp_path):
     assert got.loc[7]["wau"] == 1          # user 2 active day 1
     assert got.loc[10]["wau"] == 0
     assert got.loc[20]["dau"] == 1 and got.loc[20]["wau"] == 1
+    # G25 is W59 on the days with a daily active user
+    g25 = g25_stickiness(str(tmp_path)).to_pandas().set_index("day")
+    assert list(g25.index) == [0, 1, 20]
+    pd.testing.assert_frame_equal(g25, got[got["dau"] > 0])
 
 
 # ---------------------------------------------------------------- K26 ----
@@ -3900,6 +3908,41 @@ def test_g58_benford_bruteforce(ray_session):
             diff = float(c.get(d, 0)) - e_
             chi2 = chi2 + (diff * diff) / e_
         assert sub["chi2_benford"].iloc[0] == chi2
+
+
+def test_g58_benford_zero_and_negative_cents(ray_session, tmp_path):
+    """The Benford grid G58 shares with T11 also counts zero cents (digit
+    "0") and negative ones ("-"); G58 keeps digits 1-9 only, and a type
+    with no positive cent value has no row, as in its SQL oracle."""
+    import duckdb
+    import pandas as pd
+
+    import __ray_entry__ as e
+
+    ev = pq.read_table(f"{SF}/events.parquet")
+    values = ev.column("value").to_pylist()
+    types = ev.column("event_type").to_pylist()
+    values[:3] = [0.004, -0.5, 0.004]     # 0 cents, -50 cents, 0 cents
+    types[2] = "zero_only"
+    ev = ev.set_column(ev.schema.get_field_index("value"), "value",
+                       pa.array(values, type=pa.float64()))
+    ev = ev.set_column(ev.schema.get_field_index("event_type"), "event_type",
+                       pa.array(types, type=pa.string()))
+    pq.write_table(ev, str(tmp_path / "events.parquet"))
+
+    got = e.queries()["g58_benford"](str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute("CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/events.parquet')")
+    want = con.execute(e.oracle_sql()["g58_benford"]).fetchdf()
+
+    def canon(df):
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    assert "zero_only" not in set(got["event_type"])
+    pd.testing.assert_frame_equal(canon(got), canon(want), check_dtype=False,
+                                  check_exact=True)
 
 
 # ---------------------------------------------------------------- Q35 ----
@@ -4780,9 +4823,11 @@ DAILY_SERIES = ["a36_rescaled_range", "a38_mann_whitney", "a39_bartels_rvn",
                 "a97_daily_mase", "g53_longest_drought", "w63_weekend_effect",
                 "a98_arrival_uniformity", "w66_trailing_bursts", "w67_lead_lag",
                 "a100_today_rank"]
+# The two queries on the shared Benford count grid.
+BENFORD = ["t11_benford_digits", "g58_benford"]
 SIZED_CASES = [(n, layout) for n in SIZED_QUERIES
                for layout in ("sf0.001", "split", "empty")] + \
-              [(n, "sf0.001") for n in DAILY_SERIES]
+              [(n, "sf0.001") for n in DAILY_SERIES + BENFORD]
 
 
 @pytest.fixture(scope="module")
@@ -4790,7 +4835,7 @@ def events_oracle_sql():
     import __ray_entry__ as e
 
     sql = e.oracle_sql()
-    return {n: sql[n] for n in SIZED_QUERIES + DAILY_SERIES}
+    return {n: sql[n] for n in SIZED_QUERIES + DAILY_SERIES + BENFORD}
 
 
 def _events_input(layout: str, tmp_path) -> str:
