@@ -12406,7 +12406,8 @@ def oracle_sql() -> dict[str, str]:
               SELECT event_type,
                      CAST(substr(CAST(CAST(floor(value * 100 + 0.5) AS BIGINT)
                                       AS VARCHAR), 1, 1) AS BIGINT) AS digit
-              FROM events),
+              FROM events
+              WHERE floor(value * 100 + 0.5) > 0),
             c AS (SELECT event_type, digit, count(*) AS n
                   FROM d GROUP BY event_type, digit),
             t AS (SELECT event_type,

@@ -23,7 +23,12 @@ the target on 1 and 4 CPU slots (``tools/plan_crossover.py``,
 every query except ``r2_compact_events`` on 4 slots near the target,
 where it and the exchange's parallel per-day compaction were within
 noise of each other.  Both plans are built from the query's same Arrow
-closures.
+closures.  ``_events_grid`` is that plan for an additive grid of
+``events``: a derive maps each batch to grid keys plus int64 measures,
+the grid sums each measure per key, and the query's finalize gets it as
+one table sorted by its keys (``_daily_cents``, ``_daily_counts``,
+``_benford_counts``, ``_cent_hist`` and ``_hour_counts`` are its shared
+grids).
 
 Float-parity discipline: SQL-checked aggregates avoid distributed float
 summation (addition-order-dependent); sums are over exact integers, means
@@ -39,6 +44,8 @@ import numpy as np
 import pyarrow as pa
 
 from anomalydetection_ray.constants import MAD_SCALE
+
+DAY_US_Q = 86_400_000_000
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -84,14 +91,13 @@ def sized_plan(sf_dir: str, table: str, columns, whole, exchange):
     return ray.data.from_blocks([ray.get(_whole_task().remote(packed, columns, whole))])
 
 
-def _by_type(finalize, key: str = "day"):
-    """``groupby("event_type").map_groups(finalize)`` over the bounded
-    (event_type, key) grid in one block: sort by (type, key), split at the
-    type runs, concatenate the per-type outputs."""
+def _by_type(finalize):
+    """``finalize`` per event type over a grid sorted by its keys, the
+    event type first (``_events_grid``): split at the type runs,
+    concatenate the per-type outputs."""
     from anomalydetection_ray.stages.runs import run_starts
 
     def apply(grid: pa.Table) -> pa.Table:
-        grid = grid.sort_by([("event_type", "ascending"), (key, "ascending")])
         bounds = [*run_starts(grid, ["event_type"]).tolist(), grid.num_rows]
         return pa.concat_tables([finalize(grid.slice(a, b - a))
                                  for a, b in zip(bounds, bounds[1:])])
@@ -99,64 +105,78 @@ def _by_type(finalize, key: str = "day"):
     return apply
 
 
-def _daily_cents(sf_dir: str, finalize):
-    """``finalize`` over the daily cent-value totals of ``events``, the
-    grid ``(event_type, day, sum(x))``, all-int64 except the type.
-    ``day`` is the UTC day number ``ts_us // 86_400_000_000`` and ``x``
-    is ``floor(value*100 + 0.5)``, so every total is exact.  Over one
-    read target (``sized_plan``): per-block Arrow partials, ONE Ray exchange
-    on the (types x span-days)-bounded key, ``finalize`` on one block."""
+def _events_grid(sf_dir: str, columns, derive, keys, measures, finalize):
+    """``finalize`` over an additive grid of ``events``: ``derive`` maps a
+    batch of ``columns`` to the ``keys`` plus the int64 ``measures``
+    columns, and the grid holds each measure's sum per key, as one table
+    sorted by ``keys``.  On ``sized_plan``: one task over one read target;
+    above it, per-block Arrow partials, ONE Ray exchange on ``keys``, and
+    ``finalize`` on one block.  The measure names are given, not read from
+    a schema, so no plan runs a one-row probe."""
+    from ray.data.aggregate import Sum
+
+    order = [(k, "ascending") for k in keys]
+
     def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
+        g = derive(batch).group_by(keys).aggregate(
+            [(m, "sum") for m in measures])
+        return pa.table({**{k: g.column(k) for k in keys},
+                         **{m: g.column(f"{m}_sum") for m in measures}})
+
+    def whole(grid: pa.Table) -> pa.Table:
+        return finalize(grid.sort_by(order))
 
     def exchange(ds):
         return (ds.map_batches(partial, batch_format="pyarrow",
                                zero_copy_batch=True)
-                .groupby(["event_type", "day"]).sum("x")
-                .repartition(1).map_batches(finalize, batch_format="pyarrow"))
+                .groupby(keys)
+                .aggregate(*[Sum(m, alias_name=m) for m in measures])
+                .repartition(1).map_batches(whole, batch_format="pyarrow"))
 
-    return sized_plan(sf_dir, "events", ["event_type", "ts", "value"],
-                  lambda t: finalize(partial(t).rename_columns(
-                      ["event_type", "day", "sum(x)"])), exchange)
+    return sized_plan(sf_dir, "events", columns,
+                      lambda t: whole(partial(t)), exchange)
+
+
+def _ts_us(batch: pa.Table) -> np.ndarray:
+    return np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
+
+
+def _cents(batch: pa.Table) -> np.ndarray:
+    """``floor(value*100 + 0.5)``: the exact int64 cents of each value."""
+    v = np.asarray(batch.column("value"), dtype=np.float64)
+    return np.floor(v * 100.0 + 0.5).astype(np.int64)
+
+
+def _ones(n: int) -> pa.Array:
+    return pa.array(np.ones(n, dtype=np.int64))
+
+
+def _daily_cents(sf_dir: str, finalize):
+    """``finalize`` over the daily cent-value totals of ``events``, the
+    grid ``(event_type, day, sum(x))``, all-int64 except the type.
+    ``day`` is the UTC day number ``ts_us // 86_400_000_000`` and ``x``
+    is ``floor(value*100 + 0.5)``, so every total is exact.  Plan:
+    ``_events_grid``."""
+    def derive(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch.column("event_type"),
+                         "day": pa.array(_ts_us(batch) // DAY_US_Q),
+                         "sum(x)": pa.array(_cents(batch))})
+
+    return _events_grid(sf_dir, ["event_type", "ts", "value"], derive,
+                        ["event_type", "day"], ["sum(x)"], finalize)
 
 
 def _daily_counts(sf_dir: str, finalize):
     """``finalize`` over the daily event counts of ``events``, the grid
     ``(event_type, day, n)`` with ``_daily_cents``'s day number and an
-    int64 ``n``.  Same plan as ``_daily_cents``."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    int64 ``n``.  Plan: ``_events_grid``."""
+    def derive(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch.column("event_type"),
+                         "day": pa.array(_ts_us(batch) // DAY_US_Q),
+                         "n": _ones(batch.num_rows)})
 
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(us // 86_400_000_000,
-                                      type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "n": pc.cast(g.column("count_all"), pa.int64())})
-
-    def exchange(ds):
-        return (ds.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby(["event_type", "day"])
-                .aggregate(Sum("n", alias_name="n"))
-                .repartition(1).map_batches(finalize, batch_format="pyarrow"))
-
-    return sized_plan(sf_dir, "events", ["event_type", "ts"],
-                  lambda t: finalize(partial(t)), exchange)
+    return _events_grid(sf_dir, ["event_type", "ts"], derive,
+                        ["event_type", "day"], ["n"], finalize)
 
 
 def _benford_counts(sf_dir: str, finalize):
@@ -164,34 +184,45 @@ def _benford_counts(sf_dir: str, finalize):
     ``events``' cent values, the grid ``(event_type, digit, n)``: ``digit``
     is the first character of the decimal string of the exact cents
     integer ``floor(value*100 + 0.5)`` (``"0"`` for zero cents, ``"-"`` for
-    negative ones), ``n`` an int64 count.  Same plan as ``_daily_counts``;
+    negative ones), ``n`` an int64 count.  Plan: ``_events_grid``;
     ``finalize`` gets one type's rows sorted by digit."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+    def derive(batch: pa.Table) -> pa.Table:
         digit = pc.utf8_slice_codeunits(
-            pc.cast(pa.array(cents), pa.string()), 0, 1)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "digit": digit})
-        g = t.group_by(["event_type", "digit"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "digit": g.column("digit"),
-                         "n": pc.cast(g.column("count_all"), pa.int64())})
+            pc.cast(pa.array(_cents(batch)), pa.string()), 0, 1)
+        return pa.table({"event_type": batch.column("event_type"),
+                         "digit": digit, "n": _ones(batch.num_rows)})
 
-    per_type = _by_type(finalize, "digit")
+    return _events_grid(sf_dir, ["event_type", "value"], derive,
+                        ["event_type", "digit"], ["n"], _by_type(finalize))
 
-    def exchange(ds):
-        return (ds.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby(["event_type", "digit"])
-                .aggregate(Sum("n", alias_name="n"))
-                .repartition(1).map_batches(per_type, batch_format="pyarrow"))
 
-    return sized_plan(sf_dir, "events", ["event_type", "value"],
-                      lambda t: per_type(partial(t)), exchange)
+def _cent_hist(sf_dir: str, finalize):
+    """``finalize`` over the per-type cent histogram of ``events``, the
+    grid ``(event_type, v100, n)``: ``v100`` is the exact cents integer
+    ``floor(value*100 + 0.5)``, ``n`` its int64 event count.  Plan:
+    ``_events_grid``."""
+    def derive(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch.column("event_type"),
+                         "v100": pa.array(_cents(batch)),
+                         "n": _ones(batch.num_rows)})
+
+    return _events_grid(sf_dir, ["event_type", "value"], derive,
+                        ["event_type", "v100"], ["n"], finalize)
+
+
+def _hour_counts(sf_dir: str, finalize):
+    """``finalize`` over the per-type UTC hour-of-day counts of ``events``,
+    the grid ``(event_type, hour, n)``, ``hour = (ts_us // 3_600_000_000)
+    % 24``.  Plan: ``_events_grid``."""
+    def derive(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch.column("event_type"),
+                         "hour": pa.array((_ts_us(batch) // 3_600_000_000) % 24),
+                         "n": _ones(batch.num_rows)})
+
+    return _events_grid(sf_dir, ["event_type", "ts"], derive,
+                        ["event_type", "hour"], ["n"], finalize)
 
 
 # ---------------------------------------------------------------- G2 ----
@@ -1169,42 +1200,23 @@ CMS_A = (2654435761, 2246822519, 3266489917, 668265263)  # odd multipliers
 CMS_B = (40503, 65537, 4101842887, 362437)
 
 
+def _value_bin(batch: pa.Table) -> pa.Array:
+    """G6's bin of each value: clamp(floor(value / width), 0, bins−1)."""
+    v = np.asarray(batch.column("value"), dtype=np.float64)
+    return pa.array(np.minimum(np.floor(v / HIST_WIDTH), HIST_BINS - 1)
+                    .astype(np.int64))
+
+
 def g6_value_histogram(sf_dir: str):
     """G6 — fixed-bin value histograms per event_type: bin = clamp(floor
-    (value / width), 0, bins−1).  Per-block partial counts collapse with
-    an Arrow group_by before the exchange (≤ types · bins rows per
-    block); the final groupby is over the tiny (type, bin) grid."""
-    import pyarrow.compute as pc
+    (value / width), 0, bins−1).  Plan: ``_events_grid`` over the
+    (type, bin) grid."""
+    def derive(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch.column("event_type"),
+                         "bin": _value_bin(batch), "n": _ones(batch.num_rows)})
 
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        b = np.minimum(np.floor(v / HIST_WIDTH), HIST_BINS - 1).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "bin": pa.array(b, type=pa.int64())})
-        g = t.group_by(["event_type", "bin"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "bin": g.column("bin"),
-                         "n": pc.cast(g.column("count_all"), pa.int64())})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def merge(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "event_type": group.column("event_type").slice(0, 1),
-            "bin": group.column("bin").slice(0, 1),
-            "n": pa.array([int(pc.sum(group.column("n")).as_py())],
-                          type=pa.int64()),
-        })
-
-    return partials.groupby(["event_type", "bin"]).map_groups(
-        merge, batch_format="pyarrow")
+    return _events_grid(sf_dir, ["event_type", "value"], derive,
+                        ["event_type", "bin"], ["n"], lambda g: g)
 
 
 def _cms_cells(uid: np.ndarray) -> np.ndarray:
@@ -1280,58 +1292,30 @@ def g5_heavy_hitters_cms(sf_dir: str, k: int = 10):
     }))
 
 
-DAY_US_Q = 86_400_000_000
-
-
 def d3_value_drift(sf_dir: str):
     """D3 — temporal distribution-drift check: the G6 value histogram
     computed separately over interleaved day-parity halves (even vs odd
     epoch days) per event_type, with the per-bin chi-square contribution
     ``(a−b)² / (a+b)``.  The training-data use: detect whether a
     feature's distribution shifts across collection time before the data
-    is mixed into one corpus.  Counts are exact integers (same
-    partial-before-exchange shape as G6: ≤ types · bins · 2 rows per
-    block cross the exchange); the chi² term is one exact-int square and
-    one pinned IEEE division per bin."""
-    import pyarrow.compute as pc
+    is mixed into one corpus.  Counts are exact integers; the chi² term
+    is one exact-int square and one pinned IEEE division per bin.  Plan:
+    ``_events_grid`` over the (type, bin) grid, both halves' counts as
+    measures."""
+    def derive(batch: pa.Table) -> pa.Table:
+        odd = (_ts_us(batch) // DAY_US_Q) % 2
+        return pa.table({"event_type": batch.column("event_type"),
+                         "bin": _value_bin(batch), "n_even": pa.array(1 - odd),
+                         "n_odd": pa.array(odd)})
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
+    def finalize(grid: pa.Table) -> pa.Table:
+        a = np.asarray(grid.column("n_even"), dtype=np.int64)
+        b = np.asarray(grid.column("n_odd"), dtype=np.int64)
+        term = ((a - b) * (a - b)).astype(np.float64) / (a + b).astype(np.float64)
+        return grid.append_column("chi2_term", pa.array(term))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts")
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        us = np.asarray(ts.cast(pa.int64()))
-        half = (us // DAY_US_Q) % 2
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        b = np.minimum(np.floor(v / HIST_WIDTH), HIST_BINS - 1).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "bin": pa.array(b, type=pa.int64()),
-                      "half": pa.array(half.astype(np.int64), type=pa.int64())})
-        g = t.group_by(["event_type", "bin", "half"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "bin": g.column("bin"), "half": g.column("half"),
-                         "n": pc.cast(g.column("count_all"), pa.int64())})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def merge(group: pa.Table) -> pa.Table:
-        h = np.asarray(group.column("half"), dtype=np.int64)
-        n = np.asarray(group.column("n"), dtype=np.int64)
-        a = int(n[h == 0].sum())
-        b = int(n[h == 1].sum())
-        term = float((a - b) * (a - b)) / float(a + b)
-        return pa.table({
-            "event_type": group.column("event_type").slice(0, 1),
-            "bin": group.column("bin").slice(0, 1),
-            "n_even": pa.array([a], type=pa.int64()),
-            "n_odd": pa.array([b], type=pa.int64()),
-            "chi2_term": pa.array([term], type=pa.float64()),
-        })
-
-    return partials.groupby(["event_type", "bin"]).map_groups(
-        merge, batch_format="pyarrow")
+    return _events_grid(sf_dir, ["event_type", "ts", "value"], derive,
+                        ["event_type", "bin"], ["n_even", "n_odd"], finalize)
 
 
 def j6_anti_join(sf_dir: str, price_floor: float = 400000.0):
@@ -3093,10 +3077,16 @@ def t11_benford_digits(sf_dir: str):
     ints; the float tail (expected fraction, chi2) is a pinned sequence
     of scalar libm ops identical on both sides.
 
-    Plan: ``_benford_counts``, shared with G58."""
+    Plan: ``_benford_counts``, shared with G58.  As there, only positive
+    cent values count: digits 1-9 (a zero or negative one starts with 0
+    or -), and a type with none has no row."""
     import math
 
+    import pyarrow.compute as pc
+
     def finish(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t.column("digit"),
+                              value_set=pa.array(list("123456789"))))
         n = np.asarray(t.column("n"), dtype=np.int64)
         total = int(n.sum())
         digits = [int(d) for d in t.column("digit").to_pylist()]
@@ -3109,9 +3099,7 @@ def t11_benford_digits(sf_dir: str):
             diff = float(c) - exp_n
             chi2.append(diff * diff / exp_n)
         return pa.table({
-            "event_type": pa.array(
-                [t.column("event_type")[0].as_py()] * len(n),
-                type=pa.string()),
+            "event_type": t.column("event_type"),
             "digit": pa.array(digits, type=pa.int64()),
             "n": pa.array(n, type=pa.int64()),
             "total": pa.array([total] * len(n), type=pa.int64()),
@@ -3949,32 +3937,13 @@ def a29_xcorr_volumes(sf_dir: str, lags: tuple = (0, 1, 2, 3, 7)):
     then exactly three pinned float ops), so the SQL oracle matches
     bitwise.
 
-    Scale shape: per-block (type, day) count partials -> one exchange on
-    a (types x days)-bounded key -> the finalize holds only the daily
-    grid (bounded by the TIME SPAN, not the data size: ~types*365 ints
-    per year), never row-level data."""
+    Plan: ``_daily_counts``."""
     import math
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "c": g.column("count_all").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("c"))
 
     def finalize(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type"))
         day = np.asarray(group.column("day"), dtype=np.int64)
-        cnt = np.asarray(group.column("sum(c)"), dtype=np.int64)
+        cnt = np.asarray(group.column("n"), dtype=np.int64)
         types = sorted(set(et.tolist()))
         out = {"type_a": [], "type_b": [], "lag": [], "n": [],
                "sxy": [], "xcorr": []}
@@ -4019,7 +3988,7 @@ def a29_xcorr_volumes(sf_dir: str, lags: tuple = (0, 1, 2, 3, 7)):
             "xcorr": pa.array(out["xcorr"], type=pa.float64()),
         })
 
-    return daily.repartition(1).map_batches(finalize, batch_format="pyarrow")
+    return _daily_counts(sf_dir, finalize)
 
 
 # ---------------------------------------------------------------- T13 ----
@@ -4746,30 +4715,13 @@ def g20_spearman_daily(sf_dir: str):
     two variance terms are ints (the doubling cancels), and rho is the
     pinned float(num) / (sqrt(float(d1)) * sqrt(float(d2))).
 
-    Scale shape: per-block (type, day) partials carrying (sum, count),
-    one bounded exchange, per-TYPE finalize over the daily grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64()),
-                      "one": pa.array(np.ones(len(day), dtype=np.int64))})
-        g = t.group_by(["event_type", "day"]).aggregate(
-            [("v100", "sum"), ("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64()),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"])
-             .sum(["x", "c"]))
+    Plan: ``_events_grid`` over the (type, day) grid of the cent sum
+    ``x`` and the count ``c``, per-type finalize."""
+    def derive(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch.column("event_type"),
+                         "day": pa.array(_ts_us(batch) // DAY_US_Q),
+                         "x": pa.array(_cents(batch)),
+                         "c": _ones(batch.num_rows)})
 
     def _two_r(vals: np.ndarray) -> np.ndarray:
         n = vals.shape[0]
@@ -4783,8 +4735,8 @@ def g20_spearman_daily(sf_dir: str):
         import math
 
         et = group.column("event_type")[0].as_py()
-        x = np.asarray(group.column("sum(x)"), dtype=np.int64)
-        c = np.asarray(group.column("sum(c)"), dtype=np.int64)
+        x = np.asarray(group.column("x"), dtype=np.int64)
+        c = np.asarray(group.column("c"), dtype=np.int64)
         n = int(x.shape[0])
         a = _two_r(x)
         b = _two_r(c)
@@ -4808,8 +4760,8 @@ def g20_spearman_daily(sf_dir: str):
             "rho": pa.array([rho], type=pa.float64(), from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _events_grid(sf_dir, ["event_type", "ts", "value"], derive,
+                        ["event_type", "day"], ["x", "c"], _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G21 ----
@@ -5004,39 +4956,13 @@ def g22_value_quantiles_by_type(sf_dir: str, qs=(0.5, 0.9, 0.99)):
     sort: the G3 bincount-histogram trick transplanted from the token
     domain to quantized cents — each block emits one bounded cent
     histogram per type (values live in a small integer domain after
-    x100 quantization), histograms add associatively under a tiny
-    per-type groupby, and the LOWER quantile (smallest v with cum count
-    >= ceil(q*n)) is read off the merged counts.  The shuffle moves
-    histogram vectors, never event rows."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def hist_batch(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        uniq, inv = np.unique(
-            np.asarray(batch.column("event_type").to_pylist(),
-                       dtype=object), return_inverse=True)
-        t = pa.table({
-            "event_type": pa.array(np.asarray(uniq, dtype=object)[inv],
-                                   type=pa.string()),
-            "v100": pa.array(v100, type=pa.int64()),
-            "one": pa.array(np.ones(v100.shape[0], dtype=np.int64)),
-        })
-        g = t.group_by(["event_type", "v100"]).aggregate([("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "v100": g.column("v100"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    counts = (ds.map_batches(hist_batch, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "v100"]).sum("c"))
-
+    x100 quantization), histograms add associatively per cell, and the
+    LOWER quantile (smallest v with cum count
+    >= ceil(q*n)) is read off the merged counts.  Plan: ``_cent_hist``."""
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        order = np.argsort(np.asarray(group.column("v100"),
-                                      dtype=np.int64))
-        v = np.asarray(group.column("v100"), dtype=np.int64)[order]
-        c = np.asarray(group.column("sum(c)"), dtype=np.int64)[order]
+        v = np.asarray(group.column("v100"), dtype=np.int64)
+        c = np.asarray(group.column("n"), dtype=np.int64)
         cum = np.cumsum(c)
         total = int(cum[-1])
         row = {"event_type": [et], "n": [total]}
@@ -5046,8 +4972,7 @@ def g22_value_quantiles_by_type(sf_dir: str, qs=(0.5, 0.9, 0.99)):
             row[f"p{int(q * 100)}_cents"] = [int(v[idx])]
         return pa.Table.from_pydict(row)
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _cent_hist(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- J14 ----
@@ -5694,41 +5619,9 @@ def g24_beta_to_total(sf_dir: str):
     n*S_mm - S_m^2 are exact python-ints (the W5/G10 moment
     discipline), and beta is one pinned division.
 
-    Scale shape: one bounded (type x days) exchange; the market series
-    is the per-day marginal of the SAME grid (computed in the finalize
-    from broadcast day totals — bounded driver state, span-days
-    rows)."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day"]).sum("x")
-             .materialize())
-
-    # market series: per-day totals of the SAME bounded grid (span-days
-    # rows -> driver dict, broadcast into the finalize)
-    mkt_rows = (daily.map_batches(
-        lambda b: pa.table({
-            "day": b.column("day"),
-            "x": b.column("sum(x)").cast(pa.int64())}),
-        batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day").sum("x").take_all())
-    market = {int(r["day"]): int(r["sum(x)"]) for r in mkt_rows}
-
-    def finalize(group: pa.Table) -> pa.Table:
+    Plan: ``_daily_cents``; the market series is the per-day marginal
+    of the same grid."""
+    def per_type(group: pa.Table, market: dict) -> pa.Table:
         et = group.column("event_type")[0].as_py()
         day = np.asarray(group.column("day"), dtype=np.int64)
         x = np.asarray(group.column("sum(x)"), dtype=np.int64)
@@ -5750,8 +5643,13 @@ def g24_beta_to_total(sf_dir: str):
                              from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    def finalize(grid: pa.Table) -> pa.Table:
+        m = grid.group_by("day").aggregate([("sum(x)", "sum")])
+        market = dict(zip(m.column("day").to_pylist(),
+                          m.column("sum(x)_sum").to_pylist()))
+        return _by_type(functools.partial(per_type, market=market))(grid)
+
+    return _daily_cents(sf_dir, finalize)
 
 
 # ---------------------------------------------------------------- A43 ----
@@ -6096,35 +5994,11 @@ def w35_weekend_contrast(sf_dir: str):
     (float(we_sum) * float(wd_days)) / (float(wd_sum) * float(we_days))
     — four casts, two multiplies, one division, fixed order.
 
-    Scale shape: map-only collapse to <= types x 2 partial rows per
-    block, ONE bounded exchange."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        wk = (day + 3) % 7
-        is_we = (wk >= 5).astype(np.int64)
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "is_we": pa.array(is_we, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day", "is_we"]).aggregate(
-            [("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "is_we": g.column("is_we"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    daily = (ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby(["event_type", "day", "is_we"]).sum("x"))
-
+    Plan: ``_daily_cents``."""
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        is_we = np.asarray(group.column("is_we"), dtype=np.int64)
+        day = np.asarray(group.column("day"), dtype=np.int64)
+        is_we = ((day + 3) % 7 >= 5).astype(np.int64)
         x = np.asarray(group.column("sum(x)"), dtype=np.int64)
         we_sum = int(x[is_we == 1].sum())
         wd_sum = int(x[is_we == 0].sum())
@@ -6143,8 +6017,7 @@ def w35_weekend_contrast(sf_dir: str):
                                  from_pandas=True),
         })
 
-    return daily.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_cents(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G26 ----
@@ -6162,63 +6035,40 @@ def g26_kruskal_wallis(sf_dir: str):
     as pinned ops; the tie-correction divisor is one more pinned
     ratio.
 
-    Scale shape: the (types x span-days) grid is bounded by TIME — the
-    one justified tiny materialize (a29/g24 contract); everything
-    before it is partial-aggregate exchanges."""
-    import math
+    Plan: ``_daily_cents``, one finalize over the whole grid."""
+    def finalize(grid: pa.Table) -> pa.Table:
+        et = np.asarray(grid.column("event_type").to_pylist(), dtype=object)
+        x = np.asarray(grid.column("sum(x)"), dtype=np.int64)
+        big_n = int(x.shape[0])
+        uniq, first, counts = np.unique(np.sort(x, kind="stable"),
+                                        return_index=True, return_counts=True)
+        pos = np.searchsorted(uniq, x)
+        two_r = 2 * (first[pos] + 1) + counts[pos] - 1
+        groups = sorted(set(et.tolist()))
+        acc = 0.0
+        w2s, ns = {}, {}
+        for g in groups:
+            sel = et == g
+            ns[g] = int(sel.sum())
+            w2s[g] = int(two_r[sel].sum())
+        for g in groups:                       # alphabetical pinned fold
+            acc = acc + (float(w2s[g]) * float(w2s[g])) / float(4 * ns[g])
+        h = (12.0 * acc / float(big_n * (big_n + 1))
+             - 3.0 * float(big_n + 1))
+        ties = sum(int(c) ** 3 - int(c) for c in counts.tolist())
+        d = (1.0 - float(ties) / float(big_n ** 3 - big_n)
+             if big_n > 1 else 0.0)
+        h_corr = h / d if d > 0 else None
+        return pa.table({
+            "n_total": pa.array([big_n], type=pa.int64()),
+            "n_groups": pa.array([len(groups)], type=pa.int64()),
+            "ties": pa.array([ties], type=pa.int64()),
+            "h": pa.array([h], type=pa.float64()),
+            "h_corr": pa.array([h_corr], type=pa.float64(),
+                               from_pandas=True),
+        })
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()), dtype=np.int64)
-        day = us // 86_400_000_000
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "day": pa.array(day, type=pa.int64()),
-                      "v100": pa.array(v100, type=pa.int64())})
-        g = t.group_by(["event_type", "day"]).aggregate([("v100", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "x": g.column("v100_sum").cast(pa.int64())})
-
-    rows = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "day"]).sum("x").take_all())
-
-    et = np.asarray([r["event_type"] for r in rows], dtype=object)
-    x = np.asarray([int(r["sum(x)"]) for r in rows], dtype=np.int64)
-    big_n = int(x.shape[0])
-    uniq, first, counts = np.unique(np.sort(x, kind="stable"),
-                                    return_index=True, return_counts=True)
-    pos = np.searchsorted(uniq, x)
-    two_r = 2 * (first[pos] + 1) + counts[pos] - 1
-    groups = sorted(set(et.tolist()))
-    acc = 0.0
-    w2s, ns = {}, {}
-    for g in groups:
-        sel = et == g
-        ns[g] = int(sel.sum())
-        w2s[g] = int(two_r[sel].sum())
-    for g in groups:                       # alphabetical pinned fold
-        acc = acc + (float(w2s[g]) * float(w2s[g])) / float(4 * ns[g])
-    h = (12.0 * acc / float(big_n * (big_n + 1))
-         - 3.0 * float(big_n + 1))
-    ties = sum(int(c) ** 3 - int(c) for c in counts.tolist())
-    d = (1.0 - float(ties) / float(big_n ** 3 - big_n)
-         if big_n > 1 else 0.0)
-    h_corr = h / d if d > 0 else None
-
-    import ray.data
-
-    return ray.data.from_arrow(pa.table({
-        "n_total": pa.array([big_n], type=pa.int64()),
-        "n_groups": pa.array([len(groups)], type=pa.int64()),
-        "ties": pa.array([ties], type=pa.int64()),
-        "h": pa.array([h], type=pa.float64()),
-        "h_corr": pa.array([h_corr], type=pa.float64(),
-                           from_pandas=True),
-    }))
+    return _daily_cents(sf_dir, finalize)
 
 
 # ---------------------------------------------------------------- J16 ----
@@ -7614,40 +7464,18 @@ def a63_kpss(sf_dir: str):
 def g37_mad_by_type(sf_dir: str):
     """G37 — per-type robust location/scale over ALL events of a type:
     exact median and MAD of quantized cents (W12's per-user robust
-    statistics lifted to the bounded type domain) via the G22 bincount-
-    histogram exchange — the shuffle moves cent histograms, never event
-    rows, so a hot type cannot become an unbounded single-task group.
+    statistics lifted to the bounded type domain) over G22's cent
+    histogram (``_cent_hist``), never event rows.
 
     Read-off: median = the LOWER rank statistic (smallest v with
     cum >= (n+1)//2 — G22's q=0.5 rule made float-free), MAD = the SAME
     rule over the |v - median| deviation histogram derived from the
     value histogram already in hand (no second pass over rows);
     robust_sigma = 1.4826 * mad is the single pinned float op."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def hist_batch(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "v100": pa.array(v100, type=pa.int64()),
-            "one": pa.array(np.ones(v100.shape[0], dtype=np.int64)),
-        })
-        g = t.group_by(["event_type", "v100"]).aggregate([("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "v100": g.column("v100"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    counts = (ds.map_batches(hist_batch, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "v100"]).sum("c"))
-
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        order = np.argsort(np.asarray(group.column("v100"),
-                                      dtype=np.int64))
-        v = np.asarray(group.column("v100"), dtype=np.int64)[order]
-        c = np.asarray(group.column("sum(c)"), dtype=np.int64)[order]
+        v = np.asarray(group.column("v100"), dtype=np.int64)
+        c = np.asarray(group.column("n"), dtype=np.int64)
         n = int(c.sum())
         k = (n + 1) // 2
         med = int(v[int(np.searchsorted(np.cumsum(c), k))])
@@ -7664,8 +7492,7 @@ def g37_mad_by_type(sf_dir: str):
                                      type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _cent_hist(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G38 ----
@@ -7922,39 +7749,19 @@ def g41_ks_two_types(sf_dir: str, type_a: str = "error",
     (first support value wins ties, ascending), ks = D_num/(n1*n2) is
     ONE pinned division.
 
-    Scale shape: G22's — the two types' cent histograms collapse
-    map-side, ONE bounded exchange, a single-group finalize holding
-    two histograms."""
+    Plan: ``_cent_hist``; the finalize keeps the two types' rows, and
+    no row when neither type has an event."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def hist(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array([type_a, type_b]))
-        t = batch.filter(keep)
-        v = np.asarray(t.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "v100": pa.array(v100, type=pa.int64()),
-            "one": pa.array(np.ones(v100.shape[0], dtype=np.int64)),
-        }).group_by(["event_type", "v100"]).aggregate([("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "v100": g.column("v100"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    counts = (ds.map_batches(hist, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "v100"])
-              .aggregate(Sum("c", alias_name="c")))
 
     def widen(group: pa.Table) -> pa.Table:
+        group = group.filter(pc.is_in(group.column("event_type"),
+                                      value_set=pa.array([type_a, type_b])))
+        if not group.num_rows:
+            return pa.table({})
         et = np.asarray(group.column("event_type").to_pylist(),
                         dtype=object)
         v = np.asarray(group.column("v100"), dtype=np.int64)
-        c = np.asarray(group.column("c"), dtype=np.int64)
+        c = np.asarray(group.column("n"), dtype=np.int64)
         support = np.unique(v)
         ca = np.zeros(support.shape[0], dtype=np.int64)
         cb = np.zeros(support.shape[0], dtype=np.int64)
@@ -7965,8 +7772,8 @@ def g41_ks_two_types(sf_dir: str, type_a: str = "error",
         n_a, n_b = int(ca.sum()), int(cb.sum())
         cca, ccb = np.cumsum(ca), np.cumsum(cb)
         dn = np.abs(cca * n_b - ccb * n_a)
-        d_num = int(dn.max()) if support.size else 0
-        at = int(support[int(np.argmax(dn))]) if support.size else None
+        d_num = int(dn.max())
+        at = int(support[int(np.argmax(dn))])
         ks = (float(d_num) / float(n_a * n_b)
               if n_a > 0 and n_b > 0 else None)
         return pa.table({
@@ -7975,12 +7782,11 @@ def g41_ks_two_types(sf_dir: str, type_a: str = "error",
             "n_a": pa.array([n_a], type=pa.int64()),
             "n_b": pa.array([n_b], type=pa.int64()),
             "d_num": pa.array([d_num], type=pa.int64()),
-            "at_cents": pa.array([at], type=pa.int64(),
-                                 from_pandas=True),
+            "at_cents": pa.array([at], type=pa.int64()),
             "ks": pa.array([ks], type=pa.float64(), from_pandas=True),
         })
 
-    return counts.repartition(1).map_batches(widen, batch_format="pyarrow")
+    return _cent_hist(sf_dir, widen)
 
 
 # ---------------------------------------------------------------- J19 ----
@@ -8700,36 +8506,11 @@ def g43_trimean(sf_dir: str):
     Quartiles are the exact LOWER quantiles (smallest v with cumulative
     count >= ceil(q*n)) read off G22's additive cent histograms —
     ``trimean_x4`` is the exact integer q1 + 2*q2 + q3; the float
-    trimean is ONE pinned division by 4.0.
-
-    Scale shape: per-block bounded cent histograms, one tiny per-type
-    exchange, per-type read-off — no row sort anywhere (G22's
-    discipline)."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def hist_batch(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "v100": pa.array(v100, type=pa.int64()),
-            "one": pa.array(np.ones(v100.shape[0], dtype=np.int64)),
-        })
-        g = t.group_by(["event_type", "v100"]).aggregate([("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "v100": g.column("v100"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    counts = (ds.map_batches(hist_batch, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "v100"]).sum("c"))
-
+    trimean is ONE pinned division by 4.0.  Plan: ``_cent_hist``."""
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        order = np.argsort(np.asarray(group.column("v100"),
-                                      dtype=np.int64))
-        v = np.asarray(group.column("v100"), dtype=np.int64)[order]
-        c = np.asarray(group.column("sum(c)"), dtype=np.int64)[order]
+        v = np.asarray(group.column("v100"), dtype=np.int64)
+        c = np.asarray(group.column("n"), dtype=np.int64)
         cum = np.cumsum(c)
         total = int(cum[-1])
         qv = []
@@ -8748,8 +8529,7 @@ def g43_trimean(sf_dir: str):
                                       type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _cent_hist(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- W53 ----
@@ -8759,36 +8539,11 @@ def w53_peak_hour_share(sf_dir: str):
     W34's full 24-hour profile reduced to the one number a scheduler or
     anomaly baseline wants ("42% of errors land in hour 03").  Ties
     break to the SMALLEST hour.  Counts exact; share is ONE pinned
-    division.
-
-    Scale shape: per-block (type, hour) count partials (bounded 24 x
-    n_types), one tiny exchange, vectorized argmax read-off."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def hour_batch(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        hour = (us // 3_600_000_000) % 24
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "hour": pa.array(hour, type=pa.int64()),
-            "one": pa.array(np.ones(hour.shape[0], dtype=np.int64)),
-        })
-        g = t.group_by(["event_type", "hour"]).aggregate([("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "hour": g.column("hour"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    counts = (ds.map_batches(hour_batch, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "hour"]).sum("c"))
-
+    division.  Plan: ``_hour_counts``, W34's grid."""
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
         h = np.asarray(group.column("hour"), dtype=np.int64)
-        c = np.asarray(group.column("sum(c)"), dtype=np.int64)
-        order = np.argsort(h)
-        h, c = h[order], c[order]
+        c = np.asarray(group.column("n"), dtype=np.int64)
         total = int(c.sum())
         best = int(np.argmax(c))             # ties -> smallest hour
         return pa.table({
@@ -8800,8 +8555,7 @@ def w53_peak_hour_share(sf_dir: str):
                                    type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _hour_counts(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- G44 ----
@@ -8811,32 +8565,9 @@ def g44_simpson_day(sf_dir: str):
     from one day share a type — num = sum_t c_t*(c_t - 1), den =
     n*(n-1).  The day-granular twin of G29's Herfindahl (which squares
     shares); the without-replacement form stays a ratio of exact ints.
-    NULL probability when n < 2.
-
-    Scale shape: per-block (day, type) count partials (bounded day x
-    type domain), one tiny exchange, vectorized finalize."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def day_type(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        day = us // 86_400_000_000
-        t = pa.table({
-            "day": pa.array(day, type=pa.int64()),
-            "event_type": batch.column("event_type"),
-            "one": pa.array(np.ones(day.shape[0], dtype=np.int64)),
-        })
-        g = t.group_by(["day", "event_type"]).aggregate([("one", "sum")])
-        return pa.table({"day": g.column("day"),
-                         "event_type": g.column("event_type"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    counts = (ds.map_batches(day_type, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["day", "event_type"]).sum("c"))
-
+    NULL probability when n < 2.  Plan: ``_daily_counts``."""
     def per_day(batch: pa.Table) -> pa.Table:
-        c = np.asarray(batch.column("sum(c)"), dtype=np.int64)
+        c = np.asarray(batch.column("n"), dtype=np.int64)
         t = pa.table({
             "day": batch.column("day"),
             "n": pa.array(c, type=pa.int64()),
@@ -8858,10 +8589,7 @@ def g44_simpson_day(sf_dir: str):
             "p_same_type": pa.array(p, type=pa.float64(), mask=~ok),
         })
 
-    # the (day, type) -> day reduction needs all of a day's type rows
-    # together: repartition the tiny counts relation to one block
-    return counts.repartition(1).map_batches(per_day,
-                                             batch_format="pyarrow")
+    return _daily_counts(sf_dir, per_day)
 
 
 # ---------------------------------------------------------------- G45 ----
@@ -8871,31 +8599,10 @@ def g45_peak_to_median(sf_dir: str):
     OBSERVED days (days with >= 1 event) — the capacity-planning ratio
     ("size for 3x the typical day") and a skew alarm when it
     explodes.  Counts and the median exact ints; ONE pinned division.
-
-    Scale shape: per-block (type, day) partials, one bounded exchange,
-    per-type read-off over a day-bounded group."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def day_counts(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "day": pa.array(us // 86_400_000_000, type=pa.int64()),
-            "one": pa.array(np.ones(us.shape[0], dtype=np.int64)),
-        })
-        g = t.group_by(["event_type", "day"]).aggregate([("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    counts = (ds.map_batches(day_counts, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day"]).sum("c"))
-
+    Plan: ``_daily_counts``."""
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        c = np.sort(np.asarray(group.column("sum(c)"), dtype=np.int64))
+        c = np.sort(np.asarray(group.column("n"), dtype=np.int64))
         nd = c.shape[0]
         med = int(c[(nd + 1) // 2 - 1])
         pk = int(c[-1])
@@ -8908,8 +8615,7 @@ def g45_peak_to_median(sf_dir: str):
                                        type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _daily_counts(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- Q28 ----
@@ -8966,36 +8672,13 @@ def g46_bowley_by_type(sf_dir: str):
     robust shape pair for money-like columns where G14's moment skew
     chases single whales.  Quartiles exact lower order statistics;
     each ratio ONE split-double division (NULL on zero denominators).
-
-    Scale shape: identical to G43 — bounded histograms, tiny exchange,
-    per-type read-off, no row sort."""
+    Plan: ``_cent_hist``."""
     from anomalydetection_ray.stages.detectors import _split_double
-
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def hist_batch(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        v100 = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "v100": pa.array(v100, type=pa.int64()),
-            "one": pa.array(np.ones(v100.shape[0], dtype=np.int64)),
-        })
-        g = t.group_by(["event_type", "v100"]).aggregate([("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "v100": g.column("v100"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    counts = (ds.map_batches(hist_batch, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "v100"]).sum("c"))
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        order = np.argsort(np.asarray(group.column("v100"),
-                                      dtype=np.int64))
-        v = np.asarray(group.column("v100"), dtype=np.int64)[order]
-        c = np.asarray(group.column("sum(c)"), dtype=np.int64)[order]
+        v = np.asarray(group.column("v100"), dtype=np.int64)
+        c = np.asarray(group.column("n"), dtype=np.int64)
         cum = np.cumsum(c)
         total = int(cum[-1])
         qv = [int(v[int(np.searchsorted(cum,
@@ -9018,8 +8701,7 @@ def g46_bowley_by_type(sf_dir: str):
             "qcd": pa.array(qcd, type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _cent_hist(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- Q29 ----
@@ -9347,35 +9029,14 @@ def _spectral_line(sf_dir: str, period: int, unit_us: int,
     the Fourier sums collapse to per-residue COUNT sums (exact ints),
     and the whole float tail is a ``period``-term ordered fold of
     count * cos / count * sin plus x*x + y*y.  Zero-filled bins are
-    free (zeros add nothing to residue sums).
-
-    Scale shape: per-block (type, residue) count partials, ONE bounded
-    exchange (|types| * period rows), per-type finalize."""
+    free (zeros add nothing to residue sums).  Plan: ``_events_grid``
+    over the (type, residue) grid, per-type finalize."""
     import math
 
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "r": pa.array((us // unit_us) % period, type=pa.int64()),
-        })
-        g = t.group_by(["event_type", "r"]).aggregate([([],
-                                                        "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "r": g.column("r"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "r"])
-              .aggregate(Sum("n", alias_name="n")))
+    def derive(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch.column("event_type"),
+                         "r": pa.array((_ts_us(batch) // unit_us) % period),
+                         "n": _ones(batch.num_rows)})
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -9403,8 +9064,8 @@ def _spectral_line(sf_dir: str, period: int, unit_us: int,
             power_col: pa.array([x * x + y * y], type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _events_grid(sf_dir, ["event_type", "ts"], derive,
+                        ["event_type", "r"], ["n"], _by_type(finalize))
 
 
 def a95_weekly_spectrum(sf_dir: str):
@@ -9628,36 +9289,15 @@ def g49_dow_hour_heatmap(sf_dir: str):
     operational-dashboard grid behind G35's hourly entropy and A95/
     A96's spectral lines (dow = epoch-day % 7, the repo's residue
     convention).  Exact counts; share = ONE pinned division per cell
-    over the bounded |types| x 7 x 24 grid."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
+    over the bounded |types| x 7 x 24 grid.  Plan: ``_events_grid``."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "dow": pa.array((us // 86_400_000_000) % 7,
-                            type=pa.int64()),
-            "hour": pa.array((us // 3_600_000_000) % 24,
-                             type=pa.int64()),
-        })
-        g = t.group_by(["event_type", "dow", "hour"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "dow": g.column("dow"),
-                         "hour": g.column("hour"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "dow", "hour"])
-              .aggregate(Sum("n", alias_name="n")))
+    def derive(batch: pa.Table) -> pa.Table:
+        us = _ts_us(batch)
+        return pa.table({"event_type": batch.column("event_type"),
+                         "dow": pa.array((us // DAY_US_Q) % 7),
+                         "hour": pa.array((us // 3_600_000_000) % 24),
+                         "n": _ones(batch.num_rows)})
 
     def finalize(group: pa.Table) -> pa.Table:
         n = np.asarray(group.column("n"), dtype=np.int64)
@@ -9674,8 +9314,9 @@ def g49_dow_hour_heatmap(sf_dir: str):
             "share": pa.array(share, type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _events_grid(sf_dir, ["event_type", "ts"], derive,
+                        ["event_type", "dow", "hour"], ["n"],
+                        _by_type(finalize))
 
 
 # ---------------------------------------------------------------- C10 ----
@@ -10759,36 +10400,16 @@ def g59_peak_hour_stability(sf_dir: str):
     Exactness: both argmax levels are exact integer comparisons with
     smallest-index ties; share = ONE pinned division.
 
-    Scale shape: bounded (type, day, hour) count partials, ONE
-    exchange, per-type finalize over <= days x 24 rows."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
+    Plan: ``_events_grid`` over the (type, day, hour) grid, per-type
+    finalize."""
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = np.asarray(batch.column("ts").cast(pa.int64()),
-                        dtype=np.int64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "day": pa.array(us // 86_400_000_000, type=pa.int64()),
-            "hour": pa.array((us // 3_600_000_000) % 24,
-                             type=pa.int64()),
-        })
-        g = t.group_by(["event_type", "day", "hour"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "day": g.column("day"),
-                         "hour": g.column("hour"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "day", "hour"])
-              .aggregate(Sum("n", alias_name="n")))
+    def derive(batch: pa.Table) -> pa.Table:
+        us = _ts_us(batch)
+        return pa.table({"event_type": batch.column("event_type"),
+                         "day": pa.array(us // DAY_US_Q),
+                         "hour": pa.array((us // 3_600_000_000) % 24),
+                         "n": _ones(batch.num_rows)})
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -10817,8 +10438,9 @@ def g59_peak_hour_stability(sf_dir: str):
                 type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _events_grid(sf_dir, ["event_type", "ts"], derive,
+                        ["event_type", "day", "hour"], ["n"],
+                        _by_type(finalize))
 
 
 # ---------------------------------------------------------------- Q36 ----
@@ -10945,33 +10567,16 @@ def g60_dom_profile(sf_dir: str):
     dow × hour grid cannot see.  Exact counts (dom from real calendar
     arithmetic, identical on both sides); one pinned division.
 
-    Scale shape: bounded (type, dom) exchange; per-type finalize over
-    <= 31 rows."""
+    Plan: ``_events_grid`` over the (type, dom) grid, per-type
+    finalize."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from anomalydetection_ray.stages.detectors import _split_double
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts")
-        if isinstance(ts, pa.ChunkedArray):
-            ts = ts.combine_chunks()
-        dom = pc.day(ts)
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "dom": pc.cast(dom, pa.int64())})
-        g = t.group_by(["event_type", "dom"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "dom": g.column("dom"),
-                         "n": pc.cast(g.column("count_all"),
-                                      pa.int64())})
-
-    counts = (ds.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby(["event_type", "dom"])
-              .aggregate(Sum("n", alias_name="n")))
+    def derive(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch.column("event_type"),
+                         "dom": pc.cast(pc.day(batch.column("ts")), pa.int64()),
+                         "n": _ones(batch.num_rows)})
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
@@ -10980,12 +10585,11 @@ def g60_dom_profile(sf_dir: str):
         order = np.lexsort((dom, -n))      # n desc, dom asc
         peak, peak_n = int(dom[order[0]]), int(n[order[0]])
         total = int(n.sum())
-        o2 = np.argsort(dom)
         return pa.table({
             "event_type": pa.array([et] * dom.shape[0],
                                    type=pa.string()),
-            "dom": pa.array(dom[o2], type=pa.int64()),
-            "n": pa.array(n[o2], type=pa.int64()),
+            "dom": pa.array(dom, type=pa.int64()),
+            "n": pa.array(n, type=pa.int64()),
             "peak_dom": pa.array([peak] * dom.shape[0],
                                  type=pa.int64()),
             "peak_share": pa.array(
@@ -10993,8 +10597,8 @@ def g60_dom_profile(sf_dir: str):
                 * dom.shape[0], type=pa.float64()),
         })
 
-    return counts.groupby("event_type").map_groups(
-        finalize, batch_format="pyarrow")
+    return _events_grid(sf_dir, ["event_type", "ts"], derive,
+                        ["event_type", "dom"], ["n"], _by_type(finalize))
 
 
 # ---------------------------------------------------------------- A99 ----
@@ -11250,35 +10854,16 @@ def q37_topk_with_ties(sf_dir: str, k: int = 5):
     rank = 1 + n_greater is computed per row from a broadcast lookup
     — no global sort, no per-type row materialization.  ALL-integer.
 
-    Scale note: the broadcast is bounded by the per-type distinct
-    cent domain (G52's documented assumption)."""
-    import pyarrow.compute as pc
-
-    ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-
-    def cents_hist(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        t = pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": pa.array(np.floor(v * 100.0 + 0.5)
-                              .astype(np.int64), type=pa.int64()),
-            "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-        })
-        g = t.group_by(["event_type", "cents"]).aggregate(
-            [("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "cents": g.column("cents"),
-                         "c": g.column("one_sum").cast(pa.int64())})
-
-    hist = (ds.map_batches(cents_hist, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby(["event_type", "cents"]).sum("c").take_all())
+    Plan: ``_cent_hist``, then one map over the rows on ``sized_plan``.
+    The broadcast is bounded by the per-type distinct cent domain (G52's
+    documented assumption)."""
+    hist = _cent_hist(sf_dir, lambda g: g).take_all()
     # per type: descending cumsum -> threshold (k-th largest value)
     # and the strictly-greater count per kept value
     by_type: dict = {}
     for r in hist:
         by_type.setdefault(r["event_type"], []).append(
-            (int(r["cents"]), int(r["sum(c)"])))
+            (int(r["v100"]), int(r["n"])))
     thr = {}
     greater = {}
     for et, vals in by_type.items():
@@ -11296,8 +10881,7 @@ def q37_topk_with_ties(sf_dir: str, k: int = 5):
 
     def flag(batch: pa.Table) -> pa.Table:
         et = np.asarray(batch.column("event_type"))
-        v = np.asarray(batch.column("value"), dtype=np.float64)
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        cents = _cents(batch)
         ti = np.searchsorted(types_sorted, et)
         keep = cents >= thr_arr[ti]         # vectorized threshold test
         kidx = np.flatnonzero(keep)         # survivors: ~k per type
@@ -11311,8 +10895,9 @@ def q37_topk_with_ties(sf_dir: str, k: int = 5):
             "rnk": pa.array(rnk, type=pa.int64()),
         })
 
-    return ds.map_batches(flag, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    return sized_plan(sf_dir, "events", ["event_id", "event_type", "value"],
+                      flag, lambda ds: ds.map_batches(
+                          flag, batch_format="pyarrow", zero_copy_batch=True))
 
 
 # --------------------------------------------------------------- A100 ----

@@ -2580,32 +2580,13 @@ def w34_hourly_profile(sf_dir: str):
     cron-collision picture every ops team draws first, and the
     seasonality input A8/A35 assume.  Peak detection is left to the
     reader of the share column (deterministic output keeps every hour's
-    row).
-
-    Scale shape: map-only collapse to <= |types| x 24 partial rows per
-    block, ONE bounded exchange, pinned share division."""
-    ev = _read_events(sf_dir, ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = _ts_us(batch.column("ts"))
-        hour = (us // 3_600_000_000) % 24
-        t = pa.table({"event_type": batch.column("event_type"),
-                      "hour": pa.array(hour, type=pa.int64()),
-                      "one": pa.array(np.ones(len(hour),
-                                              dtype=np.int64))})
-        g = t.group_by(["event_type", "hour"]).aggregate([("one", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "hour": g.column("hour"),
-                         "n": g.column("one_sum").cast(pa.int64())})
-
-    agg = (ev.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["event_type", "hour"]).sum("n"))
+    row).  Plan: ``queries._hour_counts``, pinned share division."""
+    from anomalydetection_ray.pipelines.queries import _by_type, _hour_counts
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
         hour = np.asarray(group.column("hour"), dtype=np.int64)
-        n = np.asarray(group.column("sum(n)"), dtype=np.int64)
+        n = np.asarray(group.column("n"), dtype=np.int64)
         tot = int(n.sum())
         return pa.table({
             "event_type": pa.array([et] * len(hour), type=pa.string()),
@@ -2615,8 +2596,7 @@ def w34_hourly_profile(sf_dir: str):
                               type=pa.float64()),
         })
 
-    return agg.groupby("event_type").map_groups(finalize,
-                                                batch_format="pyarrow")
+    return _hour_counts(sf_dir, _by_type(finalize))
 
 
 # ---------------------------------------------------------------- W36 ----

@@ -3910,10 +3910,11 @@ def test_g58_benford_bruteforce(ray_session):
         assert sub["chi2_benford"].iloc[0] == chi2
 
 
-def test_g58_benford_zero_and_negative_cents(ray_session, tmp_path):
+@pytest.mark.parametrize("name", ["t11_benford_digits", "g58_benford"])
+def test_benford_zero_and_negative_cents(ray_session, tmp_path, name):
     """The Benford grid G58 shares with T11 also counts zero cents (digit
-    "0") and negative ones ("-"); G58 keeps digits 1-9 only, and a type
-    with no positive cent value has no row, as in its SQL oracle."""
+    "0") and negative ones ("-"); both keep digits 1-9 only, and a type
+    with no positive cent value has no row, as in their SQL oracles."""
     import duckdb
     import pandas as pd
 
@@ -3922,7 +3923,7 @@ def test_g58_benford_zero_and_negative_cents(ray_session, tmp_path):
     ev = pq.read_table(f"{SF}/events.parquet")
     values = ev.column("value").to_pylist()
     types = ev.column("event_type").to_pylist()
-    values[:3] = [0.004, -0.5, 0.004]     # 0 cents, -50 cents, 0 cents
+    values[:3] = [0.004, -1.0, 0.004]     # 0 cents, -100 cents, 0 cents
     types[2] = "zero_only"
     ev = ev.set_column(ev.schema.get_field_index("value"), "value",
                        pa.array(values, type=pa.float64()))
@@ -3930,17 +3931,18 @@ def test_g58_benford_zero_and_negative_cents(ray_session, tmp_path):
                        pa.array(types, type=pa.string()))
     pq.write_table(ev, str(tmp_path / "events.parquet"))
 
-    got = e.queries()["g58_benford"](str(tmp_path)).to_pandas()
+    got = e.queries()[name](str(tmp_path)).to_pandas()
     con = duckdb.connect()
     con.execute("CREATE VIEW events AS SELECT * FROM "
                 f"read_parquet('{tmp_path}/events.parquet')")
-    want = con.execute(e.oracle_sql()["g58_benford"]).fetchdf()
+    want = con.execute(e.oracle_sql()[name]).fetchdf()
 
     def canon(df):
         df = df[sorted(df.columns)]
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
     assert "zero_only" not in set(got["event_type"])
+    assert set(got["digit"]) <= set(range(1, 10))
     pd.testing.assert_frame_equal(canon(got), canon(want), check_dtype=False,
                                   check_exact=True)
 
@@ -4825,9 +4827,24 @@ DAILY_SERIES = ["a36_rescaled_range", "a38_mann_whitney", "a39_bartels_rvn",
                 "a100_today_rank"]
 # The two queries on the shared Benford count grid.
 BENFORD = ["t11_benford_digits", "g58_benford"]
-SIZED_CASES = [(n, layout) for n in SIZED_QUERIES
+# The other queries on ``_events_grid``; g26 (one whole-grid finalize),
+# g22 (the shared cent histogram) and w34 (windows.py) also run on the
+# split and zero-row layouts.
+EVENTS_GRID = ["g6_value_histogram", "d3_value_drift", "a29_xcorr_volumes",
+               "g20_spearman_daily", "g22_value_quantiles_by_type",
+               "g24_beta_to_total", "w35_weekend_contrast", "g26_kruskal_wallis",
+               "g37_mad_by_type", "g41_ks_two_types", "g43_trimean",
+               "w53_peak_hour_share", "g44_simpson_day", "g45_peak_to_median",
+               "g46_bowley_by_type", "a95_weekly_spectrum",
+               "a96_diurnal_spectrum", "g49_dow_hour_heatmap",
+               "g59_peak_hour_stability", "g60_dom_profile",
+               "q37_topk_with_ties", "w34_hourly_profile"]
+GRID_LAYOUTS = ["g26_kruskal_wallis", "g22_value_quantiles_by_type",
+                "w34_hourly_profile"]
+SIZED_CASES = [(n, layout) for n in SIZED_QUERIES + GRID_LAYOUTS
                for layout in ("sf0.001", "split", "empty")] + \
-              [(n, "sf0.001") for n in DAILY_SERIES + BENFORD]
+              [(n, "sf0.001") for n in DAILY_SERIES + BENFORD + EVENTS_GRID
+               if n not in GRID_LAYOUTS]
 
 
 @pytest.fixture(scope="module")
@@ -4835,7 +4852,7 @@ def events_oracle_sql():
     import __ray_entry__ as e
 
     sql = e.oracle_sql()
-    return {n: sql[n] for n in SIZED_QUERIES + DAILY_SERIES + BENFORD}
+    return {n: sql[n] for n in SIZED_QUERIES + DAILY_SERIES + BENFORD + EVENTS_GRID}
 
 
 def _events_input(layout: str, tmp_path) -> str:
@@ -4863,6 +4880,7 @@ def test_sized_plan_matches_exchange(ray_session, tmp_path, monkeypatch,
 
     import duckdb
     import pandas as pd
+    import ray.data
 
     import __ray_entry__ as e
     from anomalydetection_ray.pipelines import queries, rollup
@@ -4884,8 +4902,16 @@ def test_sized_plan_matches_exchange(ray_session, tmp_path, monkeypatch,
         one = _sorted_frame(q(sf))
         assert left_layouts() == []
         assert q(sf).materialize().num_blocks() == 1
+    schema = ray.data.Dataset.schema
+
+    def no_probe(ds, fetch_if_missing=True):
+        # fetch_if_missing=False only reads a schema already known
+        assert not fetch_if_missing, "the exchange ran a schema probe"
+        return schema(ds, fetch_if_missing=False)
+
     with monkeypatch.context() as m:
         m.setattr(rollup, "_READ_TARGET_BYTES", -1)
+        m.setattr(ray.data.Dataset, "schema", no_probe)
         exchanged = _sorted_frame(q(sf))
         assert left_layouts() == []
     assert (len(one) == 0) == (layout == "empty")
