@@ -954,12 +954,9 @@ def dedup_impact_report(sf_dir: str):
     D1's tiebreak).  Scale shape: the hash exchange carries (hash,
     source, doc_id, n_chars) only; the per-hash kernel marks keeps
     vectorized (run starts); per-source totals are tiny partials."""
-    import functools
-
     import pyarrow.compute as pc
 
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     def hash_batch(batch: pa.Table) -> pa.Table:
         h1, h2 = content_hash_cols(batch)
@@ -976,10 +973,6 @@ def dedup_impact_report(sf_dir: str):
         columns=["doc_id", "source", "n_chars", "text"])
     hashed = docs.map_batches(hash_batch, batch_format="pyarrow",
                               zero_copy_batch=True)
-    tagged = hashed.map_batches(
-        functools.partial(add_partition_key, keys=["h1", "h2"],
-                          num_partitions=16),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def mark_keeps(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -990,7 +983,7 @@ def dedup_impact_report(sf_dir: str):
                 "chars_total": pa.array([], type=pa.int64()),
                 "chars_dropped": pa.array([], type=pa.int64()),
             })
-        t = batch.drop_columns([PKEY]).sort_by(
+        t = batch.sort_by(
             [("h1", "ascending"), ("h2", "ascending"),
              ("doc_id", "ascending")])
         starts = run_starts(t, ["h1", "h2"])
@@ -1014,8 +1007,7 @@ def dedup_impact_report(sf_dir: str):
             "chars_dropped": pc.cast(g.column("chars_drop_sum"), pa.int64()),
         })
 
-    partials = tagged.groupby(PKEY).map_groups(mark_keeps,
-                                               batch_format="pyarrow")
+    partials = partition_apply(hashed, ["h1", "h2"], mark_keeps, 16)
 
     def merge(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1047,12 +1039,9 @@ def sorted_neighborhood_pairs(sf_dir: str, window: int = 3,
     texts co-locate by construction); the per-partition kernel is a sort
     + ``window - 1`` vectorized shifts.  Oracle: ``row_number()`` per
     prefix group + a rank-distance self-join."""
-    import functools
-
     import ray.data
 
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -1066,15 +1055,8 @@ def sorted_neighborhood_pairs(sf_dir: str, window: int = 3,
                 if isinstance(batch.column("text"), pa.ChunkedArray)
                 else batch.column("text"), 0, prefix_len))
 
-    tagged = (ds.map_batches(add_prefix, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .map_batches(functools.partial(add_partition_key,
-                                             keys=["pfx"],
-                                             num_partitions=num_partitions),
-                           batch_format="pyarrow", zero_copy_batch=True))
-
     def kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("pfx", "ascending"), ("text", "ascending"),
              ("doc_id", "ascending")])
         n = group.num_rows
@@ -1116,7 +1098,9 @@ def sorted_neighborhood_pairs(sf_dir: str, window: int = 3,
             "is_exact": eq,
         })
 
-    return tagged.groupby(PKEY).map_groups(kernel, batch_format="pyarrow")
+    keyed = ds.map_batches(add_prefix, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    return partition_apply(keyed, ["pfx"], kernel, num_partitions)
 
 
 _GRAM_C = np.uint64(1000003)
@@ -1452,12 +1436,9 @@ def d14_cross_source_exact(sf_dir: str, num_partitions: int = 16):
     exchange.  Exactness: pure integer counts over the 128-bit content
     hash (the oracle replays membership via md5 grouping — both are
     collision-free at driver scale)."""
-    import functools
-
     import ray.data
 
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "source", "text"])
@@ -1475,16 +1456,12 @@ def d14_cross_source_exact(sf_dir: str, num_partitions: int = 16):
 
     partials = ds.map_batches(hash_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    tagged = partials.map_batches(
-        functools.partial(add_partition_key, keys=["h1", "h2"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
             return pa.table({"source": pa.array([], type=pa.string()),
                              "n_cross": pa.array([], type=pa.int64())})
-        part = part.drop_columns([PKEY]).sort_by(
+        part = part.sort_by(
             [("h1", "ascending"), ("h2", "ascending"),
              ("source", "ascending")])
         # merge per-block partials: runs keyed on (h1, h2, source)
@@ -1503,8 +1480,7 @@ def d14_cross_source_exact(sf_dir: str, num_partitions: int = 16):
                          "n_cross": g.column("n_cross_sum").cast(
                              pa.int64())})
 
-    cross = (tagged.groupby(PKEY).map_groups(kernel,
-                                             batch_format="pyarrow")
+    cross = (partition_apply(partials, ["h1", "h2"], kernel, num_partitions)
              .groupby("source").sum("n_cross"))
 
     def totals_partial(batch: pa.Table) -> pa.Table:
@@ -1623,13 +1599,10 @@ def d16_prefix_groups(sf_dir: str, prefix_len: int = 32,
     distinct (prefix, doc-count, source-set partials), one prefix-keyed
     exchange, vectorized run merge.  No text beyond ``prefix_len``
     bytes ever ships."""
-    import functools
-
     import pyarrow.compute as pc
     import ray.data
 
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "source", "text"])
@@ -1650,17 +1623,13 @@ def d16_prefix_groups(sf_dir: str, prefix_len: int = 32,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    tagged = partials.map_batches(
-        functools.partial(add_partition_key, keys=["prefix"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
             return pa.table({"prefix": pa.array([], type=pa.string()),
                              "n_docs": pa.array([], type=pa.int64()),
                              "n_sources": pa.array([], type=pa.int64())})
-        part = part.drop_columns([PKEY]).sort_by(
+        part = part.sort_by(
             [("prefix", "ascending"), ("source", "ascending")])
         n = part.num_rows
         starts3 = run_starts(part, ["prefix", "source"])
@@ -1680,8 +1649,7 @@ def d16_prefix_groups(sf_dir: str, prefix_len: int = 32,
                                   type=pa.int64()),
         })
 
-    return tagged.groupby(PKEY).map_groups(kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(partials, ["prefix"], kernel, num_partitions)
 
 
 def x8_source_homophily(sf_dir: str, min_est: float = 0.5):
@@ -2303,12 +2271,9 @@ def x16_two_hop_reach(sf_dir: str, min_est: float = 0.5,
     per-u count finish it.  Exact counts; the wedge fanout is bounded
     by the per-partition degree mass (the X9 histogram is the audit
     that this stays sparse)."""
-    import functools
-
     import pyarrow.compute as pc
 
-    from anomalydetection_ray.stages.runs import (PKEY,
-                                                  add_partition_key)
+    from anomalydetection_ray.stages.runs import partition_apply
 
     pairs = minhash_lsh_pairs(sf_dir, min_est=min_est).select_columns(
         ["doc_a", "doc_b"])
@@ -2323,13 +2288,8 @@ def x16_two_hop_reach(sf_dir: str, min_est: float = 0.5,
 
     edges = pairs.map_batches(sym, batch_format="pyarrow",
                               zero_copy_batch=True)
-    tagged = edges.map_batches(
-        functools.partial(add_partition_key, keys=["mid"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def wedges(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY])
         u = np.asarray(group.column("u"), dtype=np.int64)
         m = np.asarray(group.column("mid"), dtype=np.int64)
         order = np.argsort(m, kind="stable")
@@ -2353,8 +2313,7 @@ def x16_two_hop_reach(sf_dir: str, min_est: float = 0.5,
         })
         return t.group_by(["u", "w"]).aggregate([])  # local distinct
 
-    cand = tagged.groupby(PKEY).map_groups(wedges,
-                                           batch_format="pyarrow")
+    cand = partition_apply(edges, ["mid"], wedges, num_partitions)
     distinct = cand.groupby(["u", "w"]).count()
 
     def per_u(batch: pa.Table) -> pa.Table:
@@ -2420,11 +2379,7 @@ def d26_prefix_filter_join(sf_dir: str, num_partitions: int = 16):
     prefix token builds candidates; pair dedupe + two co-partitioned
     text attaches (the LSH families' machinery); per-pair exact
     verify bounded by candidate volume."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import (PKEY,
-                                                  add_partition_key,
-                                                  keep_first_by)
+    from anomalydetection_ray.stages.runs import keep_first_by, partition_apply
 
     docs = _docs(sf_dir)
 
@@ -2452,13 +2407,8 @@ def d26_prefix_filter_join(sf_dir: str, num_partitions: int = 16):
 
     pref = docs.map_batches(prefixes, batch_format="pyarrow",
                             zero_copy_batch=True)
-    tagged = pref.map_batches(
-        functools.partial(add_partition_key, keys=["h"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def pairs_kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY])
         h = np.asarray(group.column("h"))
         d = np.asarray(group.column("doc"), dtype=np.int64)
         order = np.lexsort((d, h))
@@ -2488,8 +2438,7 @@ def d26_prefix_filter_join(sf_dir: str, num_partitions: int = 16):
         })
         return t.group_by(["doc_a", "doc_b"]).aggregate([])
 
-    cands = tagged.groupby(PKEY).map_groups(pairs_kernel,
-                                            batch_format="pyarrow")
+    cands = partition_apply(pref, ["h"], pairs_kernel, num_partitions)
     uniq = keep_first_by(cands, keys=["doc_a", "doc_b"])
     with_a = attach_payload(uniq, docs, "doc_a", "text", "_text_a")
     with_ab = attach_payload(with_a, docs, "doc_b", "text",

@@ -651,8 +651,7 @@ def q15_token_budget_select(sf_dir: str, budget: int = 50_000,
     order."""
     import ray.data
 
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -695,13 +694,8 @@ def q15_token_budget_select(sf_dir: str, budget: int = 50_000,
         base[t] = acc
         acc += tok_of[t]
 
-    tagged = counts.map_batches(
-        functools.partial(add_partition_key, keys=["n_tok"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-
     def select(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("n_tok", "ascending"), ("doc_id", "ascending")])
         n = group.num_rows
         if n == 0:
@@ -720,7 +714,7 @@ def q15_token_budget_select(sf_dir: str, budget: int = 50_000,
         return out.append_column("cum_tok",
                                  pa.array(cum[keep], type=pa.int64()))
 
-    return tagged.groupby(PKEY).map_groups(select, batch_format="pyarrow")
+    return partition_apply(counts, ["n_tok"], select, num_partitions)
 
 
 # ---------------------------------------------------------------- Q16 ----
@@ -741,8 +735,7 @@ def q16_shard_balance(sf_dir: str, n_shards: int = 8,
     row_number over the same total order, mod, GROUP BY."""
     import ray.data
 
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -784,13 +777,8 @@ def q16_shard_balance(sf_dir: str, n_shards: int = 8,
         acc += cnt_of[t]
         total_tokens += t * cnt_of[t]
 
-    tagged = counts.map_batches(
-        functools.partial(add_partition_key, keys=["n_tok"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-
     def assign(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("n_tok", "ascending"), ("doc_id", "ascending")])
         n = group.num_rows
         if n == 0:
@@ -814,7 +802,7 @@ def q16_shard_balance(sf_dir: str, n_shards: int = 8,
                          "n_docs": g.column("one_sum").cast(pa.int64()),
                          "tokens_sum": g.column("toks_sum").cast(pa.int64())})
 
-    agg = (tagged.groupby(PKEY).map_groups(assign, batch_format="pyarrow")
+    agg = (partition_apply(counts, ["n_tok"], assign, num_partitions)
            .groupby("shard").sum(["n_docs", "tokens_sum"]))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -990,8 +978,7 @@ def p7_curriculum_order(sf_dir: str, n_stages: int = 3,
     import ray.data
 
     from anomalydetection_ray.pipelines.text import quality_batch
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -1037,13 +1024,8 @@ def p7_curriculum_order(sf_dir: str, n_stages: int = 3,
         return np.where(big, rank // max(size + 1, 1),
                         rem + (rank - cut) // max(size, 1)) + 1
 
-    tagged = scored.map_batches(
-        functools.partial(add_partition_key, keys=["score_q"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-
     def rank_kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("score_q", "descending"), ("doc_id", "ascending")])
         n = group.num_rows
         if n == 0:
@@ -1065,8 +1047,7 @@ def p7_curriculum_order(sf_dir: str, n_stages: int = 3,
             "stage": pa.array(stage_of(rank), type=pa.int64()),
         })
 
-    return tagged.groupby(PKEY).map_groups(rank_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(scored, ["score_q"], rank_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- Q18 ----

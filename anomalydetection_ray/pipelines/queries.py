@@ -391,15 +391,13 @@ def j4_asof_join(sf_dir: str):
     (ts, event_id) order — via the same partitioned exchange (each
     event_type lives wholly in one partition, so per-type ranks are
     global).  Oracle: DuckDB ASOF LEFT JOIN."""
-    import functools
-
     from anomalydetection_ray.stages.join import asof_attach
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key, run_starts
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
 
     def cp_kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("event_type", "ascending"), ("ts", "ascending"),
              ("event_id", "ascending")])
         starts = run_starts(group, ["event_type"])
@@ -415,10 +413,7 @@ def j4_asof_join(sf_dir: str):
             "calib_value": cp.column("value"),
         })
 
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["event_type"], num_partitions=8),
-        batch_format="pyarrow", zero_copy_batch=True)
-    checkpoints = tagged.groupby(PKEY).map_groups(cp_kernel, batch_format="pyarrow")
+    checkpoints = partition_apply(ev, ["event_type"], cp_kernel, 8)
 
     joined = asof_attach(ev, checkpoints, by="event_type", on="ts",
                          payload_cols=["calib_value", "calib_event_id"])
@@ -434,15 +429,13 @@ def j11_asof_forward(sf_dir: str):
     direction="forward"); equal-ts checkpoints resolve deterministically
     to the smallest calib_event_id via the tiebreak sort key, which the
     oracle mirrors with an explicit (ts, calib_event_id) row_number."""
-    import functools
-
     from anomalydetection_ray.stages.join import asof_attach
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key, run_starts
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
 
     def cp_kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("event_type", "ascending"), ("ts", "ascending"),
              ("event_id", "ascending")])
         starts = run_starts(group, ["event_type"])
@@ -458,10 +451,7 @@ def j11_asof_forward(sf_dir: str):
             "calib_value": cp.column("value"),
         })
 
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["event_type"], num_partitions=8),
-        batch_format="pyarrow", zero_copy_batch=True)
-    checkpoints = tagged.groupby(PKEY).map_groups(cp_kernel, batch_format="pyarrow")
+    checkpoints = partition_apply(ev, ["event_type"], cp_kernel, 8)
 
     joined = asof_attach(ev, checkpoints, by="event_type", on="ts",
                          payload_cols=["calib_value", "calib_event_id"],
@@ -721,10 +711,8 @@ def rollup_events_tier1(sf_dir: str, num_partitions: int = 16):
     int-domain robust-score kernel as the flagship rollup
     (stages/rollup.py `_scores_dense`) — no per-user or per-bucket
     Python."""
-    import functools
-
     from anomalydetection_ray.stages.rollup import _scores_dense
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key, run_starts
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     def per_partition(batch: pa.Table) -> pa.Table:
         w = EVENTS_BUCKET
@@ -772,12 +760,7 @@ def rollup_events_tier1(sf_dir: str, num_partitions: int = 16):
         )
 
     def exchange(ds):
-        tagged = ds.map_batches(
-            functools.partial(add_partition_key, keys=["user_id"], num_partitions=num_partitions),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        return tagged.groupby(PKEY).map_groups(per_partition, batch_format="pyarrow")
+        return partition_apply(ds, ["user_id"], per_partition, num_partitions)
 
     return sized_plan(sf_dir, "events", ["event_id", "user_id", "value"], per_partition, exchange)
 
@@ -856,15 +839,13 @@ def a1_moving_stats_events(sf_dir: str, num_partitions: int = 16):
     float is an exact int64 / w division — bit-identical to DuckDB's
     windowed AVG regardless of either side's summation order.  Same
     partition-granular shape as rollup_events_tier1."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key, run_starts
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
     w = A1_WINDOW
 
     def per_partition(batch: pa.Table) -> pa.Table:
-        batch = batch.drop_columns([PKEY]).sort_by(
+        batch = batch.sort_by(
             [("user_id", "ascending"), ("event_id", "ascending")]
         )
         n = batch.num_rows
@@ -902,12 +883,7 @@ def a1_moving_stats_events(sf_dir: str, num_partitions: int = 16):
             }
         )
 
-    tagged = ds.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"], num_partitions=num_partitions),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return tagged.groupby(PKEY).map_groups(per_partition, batch_format="pyarrow")
+    return partition_apply(ds, ["user_id"], per_partition, num_partitions)
 
 
 # ------------------------------------------------------------- tier0 ----
@@ -3319,9 +3295,7 @@ def j10_snapshot_diff(sf_dir: str, num_partitions: int = 16):
     table is read once) and co-partitioned under ONE ``_pkey`` exchange
     on the key — the J3 layout; the kernel classifies each key run with
     vectorized scatters.  Oracle: FULL OUTER JOIN + CASE."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key
+    from anomalydetection_ray.stages.runs import partition_apply
 
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
@@ -3342,14 +3316,8 @@ def j10_snapshot_diff(sf_dir: str, num_partitions: int = 16):
                          "side": pa.array(side, type=pa.int64()),
                          "price": pa.array(price, type=pa.float64())})
 
-    tagged = (ds.map_batches(derive, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .map_batches(functools.partial(add_partition_key, keys=["k"],
-                                             num_partitions=num_partitions),
-                           batch_format="pyarrow", zero_copy_batch=True))
-
     def classify(group: pa.Table) -> pa.Table:
-        t = group.drop_columns([PKEY]).sort_by(
+        t = group.sort_by(
             [("k", "ascending"), ("side", "ascending")])
         k = np.asarray(t.column("k"), dtype=np.int64)
         side = np.asarray(t.column("side"), dtype=np.int64)
@@ -3382,7 +3350,9 @@ def j10_snapshot_diff(sf_dir: str, num_partitions: int = 16):
                                   mask=~has[:, 1]),
         })
 
-    return tagged.groupby(PKEY).map_groups(classify, batch_format="pyarrow")
+    keyed = ds.map_batches(derive, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    return partition_apply(keyed, ["k"], classify, num_partitions)
 
 
 # ---------------------------------------------------------------- C3 ----
@@ -4479,16 +4449,10 @@ def j12_band_join_count(sf_dir: str, window_s: int = 72 * 3600,
     resolves as two vectorized ``searchsorted`` probes + a prefix-sum
     difference (O((n+m) log m), zero per-user Python).  Oracle: LEFT
     JOIN with the BETWEEN band + GROUP BY."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key
+    from anomalydetection_ray.stages.runs import partition_apply
 
     ev = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -4499,7 +4463,6 @@ def j12_band_join_count(sf_dir: str, window_s: int = 72 * 3600,
         })
         import pyarrow.compute as pc
 
-        part = part.drop_columns([PKEY])
         if part.num_rows == 0:
             return empty
         et = part.column("event_type")
@@ -4537,7 +4500,7 @@ def j12_band_join_count(sf_dir: str, window_s: int = 72 * 3600,
                                       type=pa.int64()),
         })
 
-    return tagged.groupby(PKEY).map_groups(kernel, batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- S19 ----
@@ -4653,18 +4616,14 @@ def a37_pettitt(sf_dir: str):
     for numerator and denominator, one libm exp, one multiply, identical
     on the SQL side.
 
-    Scale shape: A35/A36's — per-block (type, day) sum partials, one
-    exchange on the (types x span-days)-bounded key, per-TYPE finalize
-    holding only the daily grid."""
+    Plan: ``_daily_cents`` (``_events_grid``), one finalize per type."""
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
 
         et = group.column("event_type")[0].as_py()
         day = np.asarray(group.column("day"), dtype=np.int64)
-        order = np.argsort(day)
-        day = day[order]
-        x = np.asarray(group.column("sum(x)"), dtype=np.int64)[order]
+        x = np.asarray(group.column("sum(x)"), dtype=np.int64)
         n = int(x.shape[0])
         # mid-ranks doubled: 2R_i = 2*min_rank + ties - 1 (exact ints)
         sort_idx = np.argsort(x, kind="stable")
@@ -4989,16 +4948,13 @@ def j14_asof_tolerance(sf_dir: str, tolerance_us: int = 43_200_000_000):
     filter (the checkpoint ts ships as one extra payload column), no
     second exchange.  Oracle: DuckDB ASOF LEFT JOIN + the same CASE
     age test."""
-    import functools
-
     from anomalydetection_ray.stages.join import asof_attach
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
 
     def cp_kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("event_type", "ascending"), ("ts", "ascending"),
              ("event_id", "ascending")])
         starts = run_starts(group, ["event_type"])
@@ -5015,12 +4971,7 @@ def j14_asof_tolerance(sf_dir: str, tolerance_us: int = 43_200_000_000):
             "calib_value": cp.column("value"),
         })
 
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["event_type"],
-                          num_partitions=8),
-        batch_format="pyarrow", zero_copy_batch=True)
-    checkpoints = tagged.groupby(PKEY).map_groups(cp_kernel,
-                                                  batch_format="pyarrow")
+    checkpoints = partition_apply(ev, ["event_type"], cp_kernel, 8)
 
     joined = asof_attach(
         ev, checkpoints, by="event_type", on="ts",
@@ -5122,13 +5073,11 @@ def a39_bartels_rvn(sf_dir: str):
     denominator DEN2 = SUM (2R_i - (n+1))^2 is exact too; the doubling
     cancels in RVN = float(NUM2) / float(DEN2) — one pinned division.
 
-    Scale shape: A35-family bounded daily grid."""
+    Plan: ``_daily_cents`` (``_events_grid``), one finalize per type."""
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        day = np.asarray(group.column("day"), dtype=np.int64)
-        order = np.argsort(day)
-        x = np.asarray(group.column("sum(x)"), dtype=np.int64)[order]
+        x = np.asarray(group.column("sum(x)"), dtype=np.int64)
         n = int(x.shape[0])
         uniq, first, counts = np.unique(np.sort(x, kind="stable"),
                                         return_index=True,
@@ -5250,21 +5199,14 @@ def a40_exp_gof(sf_dir: str):
 
     Scale shape: one `_pkey` exchange on the bounded event_type domain;
     the kernel sorts its types' arrivals once and is fully vectorized."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ev = _read(sf_dir, "events", ["event_type", "ts", "event_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["event_type"],
-                          num_partitions=8),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(group: pa.Table) -> pa.Table:
         import math
 
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("event_type", "ascending"), ("ts", "ascending"),
              ("event_id", "ascending")])
         n_rows = group.num_rows
@@ -5310,7 +5252,7 @@ def a40_exp_gof(sf_dir: str):
             "ks_d": pa.array(out_d, type=pa.float64()),
         })
 
-    return tagged.groupby(PKEY).map_groups(kernel, batch_format="pyarrow")
+    return partition_apply(ev, ["event_type"], kernel, 8)
 
 
 # ---------------------------------------------------------------- A41 ----
@@ -5328,14 +5270,11 @@ def a41_variance_ratio(sf_dir: str):
     / (float(vd) * float(n2^2) * 2.0) is four pinned float ops in a
     fixed association order the SQL replays.
 
-    Scale shape: A35-family bounded daily grid."""
+    Plan: ``_daily_cents`` (``_events_grid``), one finalize per type."""
 
     def finalize(group: pa.Table) -> pa.Table:
         et = group.column("event_type")[0].as_py()
-        day = np.asarray(group.column("day"), dtype=np.int64)
-        order = np.argsort(day)
-        x = [int(v) for v in
-             np.asarray(group.column("sum(x)"), dtype=np.int64)[order]]
+        x = group.column("sum(x)").to_pylist()
         n = len(x)
         d1 = [x[i + 1] - x[i] for i in range(n - 1)]
         d2 = [x[i + 2] - x[i] for i in range(n - 2)]
@@ -5370,17 +5309,15 @@ def a42_seasonal_mk(sf_dir: str):
     series inside the bounded-grid finalize); the z tail is A33's
     pinned sqrt(float(var)/18.0) + one division.
 
-    Scale shape: A35-family bounded daily grid — the O(g^2) pair work
-    happens on per-phase series of length ~span/7, driver-free."""
+    Plan: ``_daily_cents`` (``_events_grid``), one finalize per type.
+    The O(g^2) pair work runs on per-phase series of length ~span/7."""
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
 
         et = group.column("event_type")[0].as_py()
         day = np.asarray(group.column("day"), dtype=np.int64)
-        order = np.argsort(day)
-        day = day[order]
-        x = np.asarray(group.column("sum(x)"), dtype=np.int64)[order]
+        x = np.asarray(group.column("sum(x)"), dtype=np.int64)
         n = int(x.shape[0])
         ph = (day + 3) % 7
         s_tot = 0
@@ -5665,15 +5602,13 @@ def a43_cox_stuart(sf_dir: str):
     corrected z = (|2*S_plus - m| - 1) / sqrt(m) over the m non-tied
     pairs is two pinned float ops.
 
-    Scale shape: A35-family bounded daily grid."""
+    Plan: ``_daily_cents`` (``_events_grid``), one finalize per type."""
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
 
         et = group.column("event_type")[0].as_py()
-        day = np.asarray(group.column("day"), dtype=np.int64)
-        order = np.argsort(day)
-        x = np.asarray(group.column("sum(x)"), dtype=np.int64)[order]
+        x = np.asarray(group.column("sum(x)"), dtype=np.int64)
         n = int(x.shape[0])
         half = n // 2
         # pair i with i + ceil(n/2) over the first floor(n/2) positions
@@ -5882,16 +5817,13 @@ def a44_arch_effect(sf_dir: str):
     are exact int64 sums; rho is the pinned
     float(num) / (sqrt(float(v1)) * sqrt(float(v2))).
 
-    Scale shape: A35-family bounded daily grid."""
+    Plan: ``_daily_cents`` (``_events_grid``), one finalize per type."""
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
 
         et = group.column("event_type")[0].as_py()
-        day = np.asarray(group.column("day"), dtype=np.int64)
-        order = np.argsort(day)
-        x = [int(v) for v in
-             np.asarray(group.column("sum(x)"), dtype=np.int64)[order]]
+        x = group.column("sum(x)").to_pylist()
         n = len(x)
         s = [abs(x[i + 1] - x[i]) for i in range(n - 1)]   # python ints
         a = s[:-1]
@@ -5951,15 +5883,13 @@ def a45_turning_point_test(sf_dir: str):
     float(3*T - 2*(n-2)) / 3.0 / sqrt(float(16*n - 29) / 90.0) — every
     operand an exact int cast once.
 
-    Scale shape: A35-family bounded daily grid."""
+    Plan: ``_daily_cents`` (``_events_grid``), one finalize per type."""
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
 
         et = group.column("event_type")[0].as_py()
-        day = np.asarray(group.column("day"), dtype=np.int64)
-        order = np.argsort(day)
-        x = np.asarray(group.column("sum(x)"), dtype=np.int64)[order]
+        x = np.asarray(group.column("sum(x)"), dtype=np.int64)
         n = int(x.shape[0])
         if n >= 3:
             mid, lo, hi = x[1:-1], x[:-2], x[2:]
@@ -6213,16 +6143,13 @@ def a47_hurst_aggvar(sf_dir: str):
     and one division by float(4 ln 2)... computed as
     (ln(v4) - ln(v1)) / (4.0 * ln(2.0)) both sides.
 
-    Scale shape: A35-family bounded daily grid."""
+    Plan: ``_daily_cents`` (``_events_grid``), one finalize per type."""
 
     def finalize(group: pa.Table) -> pa.Table:
         import math
 
         et = group.column("event_type")[0].as_py()
-        day = np.asarray(group.column("day"), dtype=np.int64)
-        order = np.argsort(day)
-        x = [int(v) for v in
-             np.asarray(group.column("sum(x)"), dtype=np.int64)[order]]
+        x = group.column("sum(x)").to_pylist()
         n = len(x)
         vm = {}
         km = {}
@@ -6531,19 +6458,12 @@ def w40_arrival_cadence(sf_dir: str, num_partitions: int = 8):
 
     Scale shape: ONE `_pkey` exchange on the bounded type domain; the
     kernel sorts each type's arrivals once, vectorized diffs."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ev = _read(sf_dir, "events", ["event_type", "ts", "event_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["event_type"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("event_type", "ascending"), ("ts", "ascending"),
              ("event_id", "ascending")])
         n = group.num_rows
@@ -6582,8 +6502,7 @@ def w40_arrival_cadence(sf_dir: str, num_partitions: int = 8):
             "mean_gap_us": pa.array(out_mn, type=pa.float64()),
         })
 
-    return tagged.groupby(PKEY).map_groups(kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["event_type"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- G29 ----
@@ -7806,12 +7725,10 @@ def j19_last_touch(sf_dir: str, window_us: int = 7 * 86_400_000_000,
     (dense-user-rank << 45 | rebased-us) composite key — no per-user
     Python; the per-day rollup is a second, day-bounded exchange.
     Oracle: DuckDB ASOF LEFT JOIN + the same window test."""
-    import functools
-
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key
+    from anomalydetection_ray.stages.runs import partition_apply
 
     DAY_US = 86_400_000_000
     ev = _read(sf_dir, "events",
@@ -7824,10 +7741,6 @@ def j19_last_touch(sf_dir: str, window_us: int = 7 * 86_400_000_000,
 
     both = ev.map_batches(keep, batch_format="pyarrow",
                           zero_copy_batch=True)
-    tagged = both.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type").to_pylist(),
@@ -7878,8 +7791,7 @@ def j19_last_touch(sf_dir: str, window_us: int = 7 * 86_400_000_000,
             "lag_us_sum": g.column("lag_sum").cast(pa.int64()),
         })
 
-    per_day = tagged.groupby(PKEY).map_groups(kernel,
-                                              batch_format="pyarrow")
+    per_day = partition_apply(both, ["user_id"], kernel, num_partitions)
     return (per_day.groupby("day")
             .aggregate(Sum("n_purchases", alias_name="n_purchases"),
                        Sum("n_attributed", alias_name="n_attributed"),
@@ -9383,18 +9295,11 @@ def w60_conversion_latency(sf_dir: str):
 
     Scale shape: ONE ``_pkey`` exchange (user-partitioned), bounded
     (bucket, n_users) partials, tiny final sum."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key
+    from anomalydetection_ray.stages.runs import partition_apply
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    tagged = ds.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=16),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY])
         uid = np.asarray(group.column("user_id"), dtype=np.int64)
         ts = np.asarray(group.column("ts").cast(pa.int64()),
                         dtype=np.int64)
@@ -9424,8 +9329,7 @@ def w60_conversion_latency(sf_dir: str):
             "n_users": pa.array(c.astype(np.int64), type=pa.int64()),
         })
 
-    return (tagged.groupby(PKEY).map_groups(kernel,
-                                            batch_format="pyarrow")
+    return (partition_apply(ds, ["user_id"], kernel, 16)
             .groupby("bucket").sum("n_users")
             .map_batches(lambda b: pa.table({
                 "bucket": b.column("bucket"),
@@ -9781,19 +9685,12 @@ def j23_nearest_event_gap(sf_dir: str, window_s: int = 3600):
     Scale shape: ONE ``_pkey`` exchange on user; per-partition sorted
     two-pointer (searchsorted) candidate pick; bounded (bucket, n)
     partials."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key
+    from anomalydetection_ray.stages.runs import partition_apply
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    tagged = ds.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=16),
-        batch_format="pyarrow", zero_copy_batch=True)
     win_us = int(window_s) * 1_000_000
 
     def kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY])
         uid = np.asarray(group.column("user_id"), dtype=np.int64)
         ts = np.asarray(group.column("ts").cast(pa.int64()),
                         dtype=np.int64)
@@ -9843,8 +9740,7 @@ def j23_nearest_event_gap(sf_dir: str, window_s: int = 3600):
                                  type=pa.int64()),
         })
 
-    return (tagged.groupby(PKEY).map_groups(kernel,
-                                            batch_format="pyarrow")
+    return (partition_apply(ds, ["user_id"], kernel, 16)
             .groupby("bucket").sum("n_events")
             .map_batches(lambda b: pa.table({
                 "bucket": b.column("bucket"),
@@ -10220,9 +10116,7 @@ def q35_ntile_revenue_buckets(sf_dir: str):
     Scale note: the broadcast is bounded by the distinct-cent domain
     of an order book (documented assumption shared with G52's
     histograms)."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key
+    from anomalydetection_ray.stages.runs import partition_apply
 
     ds = _read(sf_dir, "orders",
                ["o_orderkey", "o_orderpriority", "o_totalprice"])
@@ -10259,13 +10153,8 @@ def q35_ntile_revenue_buckets(sf_dir: str):
     n_total = int(cc.sum())
     q, r = divmod(n_total, 4)
 
-    tagged = rows.map_batches(
-        functools.partial(add_partition_key, keys=["cents"],
-                          num_partitions=16),
-        batch_format="pyarrow", zero_copy_batch=True)
-
     def kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("cents", "ascending"), ("o_orderkey", "ascending")])
         c = np.asarray(group.column("cents"), dtype=np.int64)
         starts = np.flatnonzero(np.concatenate(([True],
@@ -10290,8 +10179,7 @@ def q35_ntile_revenue_buckets(sf_dir: str):
             "bucket": g.column("bucket"),
             "n": g.column("one_sum").cast(pa.int64())})
 
-    return (tagged.groupby(PKEY).map_groups(kernel,
-                                            batch_format="pyarrow")
+    return (partition_apply(rows, ["cents"], kernel, 16)
             .groupby(["o_orderpriority", "bucket"]).sum("n")
             .map_batches(lambda b: pa.table({
                 "o_orderpriority": b.column("o_orderpriority"),
@@ -10762,9 +10650,7 @@ def s29_snapshot_diff(sf_dir: str):
     co-partitioned full compare of the two id streams (U1's exchange
     shape), so the oracle's rule-based counts certify the diff
     machinery itself.  ALL-integer."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key
+    from anomalydetection_ray.stages.runs import partition_apply
 
     ds = _read(sf_dir, "events", ["event_id", "value"])
 
@@ -10796,13 +10682,8 @@ def s29_snapshot_diff(sf_dir: str):
 
     rows = ds.map_batches(snapshots, batch_format="pyarrow",
                           zero_copy_batch=True)
-    tagged = rows.map_batches(
-        functools.partial(add_partition_key, keys=["id"],
-                          num_partitions=16),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def diff(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY])
         ids = np.asarray(group.column("id"), dtype=np.int64)
         cents = np.asarray(group.column("cents"), dtype=np.int64)
         side = np.asarray(group.column("side"), dtype=np.int64)
@@ -10829,8 +10710,7 @@ def s29_snapshot_diff(sf_dir: str):
             "n_inserted": pa.array([n_ins], type=pa.int64()),
         })
 
-    return (tagged.groupby(PKEY).map_groups(diff,
-                                            batch_format="pyarrow")
+    return (partition_apply(rows, ["id"], diff, 16)
             .groupby("_one")
             .sum(["n_same", "n_updated", "n_deleted", "n_inserted"])
             .map_batches(lambda b: pa.table({
@@ -10969,16 +10849,10 @@ def e8_ts_dod_size(sf_dir: str):
 
     Scale shape: ONE ``_pkey`` exchange on user; vectorized per-
     partition width arithmetic; single-row result."""
-    import functools
-
     from anomalydetection_ray.stages.detectors import _split_double
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key
+    from anomalydetection_ray.stages.runs import partition_apply
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    tagged = ds.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=16),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def widths(u: np.ndarray) -> np.ndarray:
         return (1 + (u >= (1 << 7)).astype(np.int64)
@@ -10992,7 +10866,7 @@ def e8_ts_dod_size(sf_dir: str):
                 + (u >= np.uint64(1 << 63)).astype(np.int64))
 
     def kernel(group: pa.Table) -> pa.Table:
-        group = group.drop_columns([PKEY]).sort_by(
+        group = group.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"),
              ("event_id", "ascending")])
         n = group.num_rows
@@ -11029,8 +10903,7 @@ def e8_ts_dod_size(sf_dir: str):
                                 type=pa.int64()),
             "n_bytes": pa.array([total], type=pa.int64())})
 
-    agg = (tagged.groupby(PKEY).map_groups(kernel,
-                                           batch_format="pyarrow")
+    agg = (partition_apply(ds, ["user_id"], kernel, 16)
            .groupby("_one").sum(["n_events", "n_users", "n_bytes"]))
 
     def widen(batch: pa.Table) -> pa.Table:

@@ -663,13 +663,10 @@ def t17_dup_sentence_share(sf_dir: str, num_partitions: int = 16):
     a vectorized run kernel; the flag re-attaches to the bounded
     (sentence, source, occurrences) relation by a co-partitioned
     lookup, and the rollup is per-source."""
-    import functools
-
     import ray.data
 
     from anomalydetection_ray.stages.join import copartition_attach
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "source", "text"])
@@ -697,16 +694,12 @@ def t17_dup_sentence_share(sf_dir: str, num_partitions: int = 16):
 
     pairs = ds.map_batches(pair_partial, batch_format="pyarrow",
                            zero_copy_batch=True)
-    tagged = pairs.map_batches(
-        functools.partial(add_partition_key, keys=["sent"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def ndocs_kernel(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
             return pa.table({"sent": pa.array([], type=pa.string()),
                              "ndocs": pa.array([], type=pa.int64())})
-        part = part.drop_columns([PKEY]).sort_by(
+        part = part.sort_by(
             [("sent", "ascending"), ("doc", "ascending")])
         s = part.column("sent")
         d = np.asarray(part.column("doc"), dtype=np.int64)
@@ -726,8 +719,7 @@ def t17_dup_sentence_share(sf_dir: str, num_partitions: int = 16):
             "ndocs": pa.array(nd, type=pa.int64()),
         })
 
-    per_sent = tagged.groupby(PKEY).map_groups(ndocs_kernel,
-                                               batch_format="pyarrow")
+    per_sent = partition_apply(pairs, ["sent"], ndocs_kernel, num_partitions)
 
     def occ_partial(batch: pa.Table) -> pa.Table:
         flat, row_of = sentences(batch)

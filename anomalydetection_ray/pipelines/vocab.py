@@ -482,10 +482,7 @@ def t12_source_vocab_jaccard(sf_dir: str, num_partitions: int = 16):
     (sources-per-word is tiny), partial pair counts collapse before the
     final tiny exchange.  Intersection/union arithmetic is exact ints +
     one pinned division.  Oracle: distinct self-join in SQL."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
+    from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     docs = _read_docs(sf_dir, ["source", "text"])
 
@@ -506,13 +503,9 @@ def t12_source_vocab_jaccard(sf_dir: str, num_partitions: int = 16):
 
     slim = docs.map_batches(distinct_partial, batch_format="pyarrow",
                             zero_copy_batch=True)
-    tagged = slim.map_batches(
-        functools.partial(add_partition_key, keys=["word"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def pair_kernel(group: pa.Table) -> pa.Table:
-        tbl = group.drop_columns([PKEY]).sort_by(
+        tbl = group.sort_by(
             [("word", "ascending"), ("source", "ascending")])
         n = tbl.num_rows
         empty = pa.table({
@@ -574,8 +567,7 @@ def t12_source_vocab_jaccard(sf_dir: str, num_partitions: int = 16):
                          "source_b": pa.array(rows_b, type=pa.string()),
                          "cnt": pa.array(rows_c, type=pa.int64())})
 
-    partials = tagged.groupby(PKEY).map_groups(pair_kernel,
-                                               batch_format="pyarrow")
+    partials = partition_apply(slim, ["word"], pair_kernel, num_partitions)
 
     def finish(group: pa.Table) -> pa.Table:
         t = group.group_by(["source_a", "source_b"]).aggregate(

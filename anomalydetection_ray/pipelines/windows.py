@@ -29,7 +29,7 @@ import functools
 import numpy as np
 import pyarrow as pa
 
-from anomalydetection_ray.stages.runs import PKEY, add_partition_key, run_starts
+from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
 GAP_US = 43_200_000_000  # 12 h session gap (driver events are hours apart
                          # per user; 12 h yields real multi-event sessions)
@@ -54,7 +54,7 @@ def _ts_us(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 # ---------------------------------------------------------------- W1 ----
 def _sessionize_kernel(group: pa.Table, gap_us: int) -> pa.Table:
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     if n == 0:
@@ -107,18 +107,13 @@ def w1_sessionize_events(sf_dir: str, gap_us: int = GAP_US,
     starts, cumsum of break flags, reduceat aggregates).  Oracle: the
     classic lag/sum-over-breaks window SQL."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_sessionize_kernel, gap_us=gap_us),
-        batch_format="pyarrow")
+    kernel = functools.partial(_sessionize_kernel, gap_us=gap_us)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W2 ----
 def _lag_kernel(group: pa.Table) -> pa.Table:
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     if n == 0:
@@ -164,11 +159,7 @@ def w2_lag_features_events(sf_dir: str, num_partitions: int = 16):
     inter-arrival gap and per-user sequence number for every event.  Same
     one-exchange layout as W1.  Oracle: lag()/row_number() window SQL."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_lag_kernel, batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _lag_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W3 ----
@@ -186,7 +177,7 @@ def _rolling_kernel(group: pa.Table, window: int) -> pa.Table:
     (1e6 * n) on top.  Min/max/count are exact by nature.  The kernel is
     fully vectorized: ``window - 1`` shifted numpy ops, no Python row
     loop."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     if n == 0:
@@ -240,13 +231,8 @@ def w3_rolling_stats_events(sf_dir: str, window: int = 5,
     vectorized ops per partition.  Oracle: SQL window frame ``ROWS
     BETWEEN window-1 PRECEDING AND CURRENT ROW``."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_rolling_kernel, window=window),
-        batch_format="pyarrow")
+    kernel = functools.partial(_rolling_kernel, window=window)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W4 ----
@@ -258,7 +244,7 @@ def _ohlc_kernel(group: pa.Table, bucket_us: int) -> pa.Table:
     at the first/last (ts, event_id) of the bucket, high/low exact
     extrema, count exact.  Vectorized with run-starts + reduceat over the
     (user, bucket)-sorted partition slice."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     if n == 0:
@@ -297,13 +283,8 @@ def w4_ohlc_resample_events(sf_dir: str, bucket_us: int = DAY_US,
     partitioning by user co-locates every bucket; no second shuffle.
     Oracle: first/last by (ts, event_id) via row_number, exact extrema."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_ohlc_kernel, bucket_us=bucket_us),
-        batch_format="pyarrow")
+    kernel = functools.partial(_ohlc_kernel, bucket_us=bucket_us)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W5 ----
@@ -318,7 +299,7 @@ def _trend_kernel(group: pa.Table) -> pa.Table:
     Python ints per group (one scalar op per user, NOT the hot path —
     the per-row reductions stay vectorized), matching the SQL oracle's
     HUGEINT arithmetic exactly at any magnitude."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     if n == 0:
@@ -373,12 +354,7 @@ def w5_trend_events(sf_dir: str, num_partitions: int = 16):
     the slope itself is pinned to three float ops the SQL oracle replays
     verbatim.  Degenerate keys (all events in one hour) emit NULL."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_trend_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _trend_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W6 ----
@@ -387,7 +363,7 @@ def _rank_kernel(group: pa.Table) -> pa.Table:
     semantics: ties share the min rank, pct = (rank−1)/(n−1), 0.0 for
     single-row keys).  Rank and n−1 are exact integers; the pct is one
     IEEE division the SQL oracle replays verbatim."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("value", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -430,12 +406,7 @@ def w6_rank_normalize_events(sf_dir: str, num_partitions: int = 16):
     normalized pct is a single pinned IEEE division (0.0 for
     single-event keys, matching DuckDB ``percent_rank``)."""
     ev = _read_events(sf_dir, ["event_id", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_rank_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _rank_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W7 ----
@@ -446,7 +417,7 @@ def _trimmed_kernel(group: pa.Table) -> pa.Table:
     """Per-user 10%-trimmed mean: drop the n//10 smallest and largest
     values (total order (value, event_id) — tie-safe), exact integer sum
     of the quantized middle, one pinned division."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("value", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -487,12 +458,7 @@ def w7_trimmed_mean_events(sf_dir: str, num_partitions: int = 16):
     sums exactly and the mean is a single IEEE division the SQL oracle
     replays."""
     ev = _read_events(sf_dir, ["event_id", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_trimmed_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _trimmed_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W8 ----
@@ -507,7 +473,7 @@ def _time_window_kernel(group: pa.Table) -> pa.Table:
     larger than the corpus time span, so ONE ``searchsorted`` per bound
     serves every user at once; counts/sums come from prefix-sum
     differences over exact quantized ints."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -545,12 +511,8 @@ def w8_time_window_events(sf_dir: str, num_partitions: int = 16):
     global ``searchsorted`` calls and one prefix sum — no per-event or
     per-user Python."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_time_window_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _time_window_kernel,
+                           num_partitions)
 
 
 # ---------------------------------------------------------------- J5 ----
@@ -630,7 +592,7 @@ def _cumsum_kernel(group: pa.Table) -> pa.Table:
     value — exact int64, so the distributed result is bit-identical to the
     window SUM whatever the block layout.  Vectorized: one global cumsum,
     rebased at each user-run start by subtraction."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -668,12 +630,7 @@ def w9_running_total_events(sf_dir: str, num_partitions: int = 16):
     ``_pkey`` layout as W1–W8; the kernel is one cumsum + one rebase
     subtraction, no per-row Python."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_cumsum_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _cumsum_kernel, num_partitions)
 
 
 # --------------------------------------------------------------- W12 ----
@@ -685,7 +642,7 @@ def _robust_scale_kernel(group: pa.Table) -> pa.Table:
     partition serves every user's median (`segment_medians`)."""
     from anomalydetection_ray.functions.stats import segment_medians
 
-    group = group.drop_columns([PKEY]).sort_by([("user_id", "ascending")])
+    group = group.sort_by([("user_id", "ascending")])
     n = group.num_rows
     if n == 0:
         return pa.table({
@@ -719,12 +676,8 @@ def w12_robust_scale_events(sf_dir: str, num_partitions: int = 16):
     outlier-resistant normalization statistics computed before training.
     Same one-exchange ``_pkey`` layout as W1–W9."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_robust_scale_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _robust_scale_kernel,
+                           num_partitions)
 
 
 # --------------------------------------------------------------- W13 ----
@@ -735,7 +688,7 @@ def _twa_kernel(group: pa.Table) -> pa.Table:
     the user's span, so Σ cents·gap <= max_cents·span — far inside
     int64); the average is ONE pinned division.  Single-event / zero-span
     users emit NULL."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -784,12 +737,7 @@ def w13_time_weighted_avg_events(sf_dir: str, num_partitions: int = 16):
     the event timeline), the metric that makes irregularly-sampled series
     comparable.  Same one-exchange ``_pkey`` layout as W1–W12."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_twa_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _twa_kernel, num_partitions)
 
 
 # --------------------------------------------------------------- W14 ----
@@ -800,7 +748,7 @@ def _event_flags_kernel(group: pa.Table, window: int, c: float) -> pa.Table:
     any realistic per-user history), then report the order-insensitive
     per-user flag summary the SQL window oracle reproduces bit-for-bit —
     the docs-table A6 detector re-expressed over the events table."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -867,13 +815,8 @@ def w14_event_anomaly_flags(sf_dir: str, window: int = 20, c: float = 3.0,
     Same one-exchange ``_pkey`` layout; the kernel is four cumsums and a
     gather — no per-row Python."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_event_flags_kernel, window=window, c=c),
-        batch_format="pyarrow")
+    kernel = functools.partial(_event_flags_kernel, window=window, c=c)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- T8 ----
@@ -885,7 +828,7 @@ def _cohort_kernel(group: pa.Table) -> pa.Table:
     whether a 'purchase' follows within the retention window.  Emits one
     row per signed-up user; users who never signed up are skipped (they
     belong to no cohort)."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -930,12 +873,7 @@ def t8_cohort_retention(sf_dir: str, num_partitions: int = 16):
     then a per-cohort-day count.  The SQL oracle replays the window rule
     with FILTERed mins + EXISTS."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    per_user = tagged.groupby(PKEY).map_groups(_cohort_kernel,
-                                               batch_format="pyarrow")
+    per_user = partition_apply(ev, ["user_id"], _cohort_kernel, num_partitions)
 
     def merge(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -957,7 +895,7 @@ def _share_kernel(group: pa.Table) -> pa.Table:
     """Per-event share of its user's total (SQL ``ratio_to_report``):
     vq / Σ_user vq, exact int numerator/denominator and ONE pinned
     division per event.  Zero-total users emit NULL shares."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -996,12 +934,7 @@ def w16_share_of_total_events(sf_dir: str, num_partitions: int = 16):
     the proportion feature next to W6's rank transform.  Same
     one-exchange ``_pkey`` layout as W1–W14."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_share_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _share_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W10 ----
@@ -1011,7 +944,7 @@ def _transition_kernel(group: pa.Table) -> pa.Table:
     stream, counted with Arrow's C-level ``group_by``.  Emits at most
     ``n_types**2`` rows per partition regardless of partition size — the
     partial-before-exchange discipline."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     empty = pa.table({
@@ -1071,12 +1004,8 @@ def w10_markov_transitions(sf_dir: str, num_partitions: int = 16):
     count.  Oracle: ``lead() OVER (PARTITION BY user_id ORDER BY ts,
     event_id)`` + grouped counts + a windowed per-from_type total."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    partials = tagged.groupby(PKEY).map_groups(_transition_kernel,
-                                               batch_format="pyarrow")
+    partials = partition_apply(ev, ["user_id"], _transition_kernel,
+                               num_partitions)
     return partials.groupby("from_type").map_groups(_transition_merge,
                                                     batch_format="pyarrow")
 
@@ -1096,7 +1025,7 @@ def _hampel_kernel(group: pa.Table, window: int, c: float) -> pa.Table:
     DuckDB's window ``median()``/``mad()`` bitwise (the w12 discipline);
     the threshold comparison pins the float sequence ``c * (1.4826 *
     mad)`` identically on both sides."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     empty = pa.table({
@@ -1151,13 +1080,8 @@ def a10_hampel_filter(sf_dir: str, window: int = 7, c: float = 3.0,
     view.  Oracle: DuckDB ``median()``/``mad()`` window aggregates over
     ``ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW``."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_hampel_kernel, window=window, c=c),
-        batch_format="pyarrow")
+    kernel = functools.partial(_hampel_kernel, window=window, c=c)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- D7 ----
@@ -1167,7 +1091,7 @@ def _debounce_kernel(group: pa.Table, min_gap_us: int) -> pa.Table:
     ``min_gap_us``.  Gap is relative to the previous observed event (SQL
     ``lag()`` semantics), not the previous kept one — keeps the kernel a
     pure vectorized shift, no sequential keep-state."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("event_type", "ascending"),
          ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
@@ -1208,13 +1132,8 @@ def d7_debounce_events(sf_dir: str, min_gap_us: int = 86_400_000_000,
     is a sort + one shifted subtraction, no Python loop.  Oracle:
     ``lag(ts) OVER (PARTITION BY user_id, event_type ...)``."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_debounce_kernel, min_gap_us=min_gap_us),
-        batch_format="pyarrow")
+    kernel = functools.partial(_debounce_kernel, min_gap_us=min_gap_us)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W15 ----
@@ -1307,7 +1226,7 @@ def _basket_kernel(group: pa.Table) -> pa.Table:
     gathered into a (num_seg, L) matrix, triu index pairs taken
     column-wise), so the only Python loop is over the <= n_types basket
     sizes."""
-    tbl = group.drop_columns([PKEY]).sort_by(
+    tbl = group.sort_by(
         [("user_id", "ascending"), ("event_type", "ascending")])
     empty = pa.table({
         "type_a": pa.array([], type=pa.string()),
@@ -1419,12 +1338,8 @@ def w17_cooccurrence_lift(sf_dir: str, num_partitions: int = 16):
 
     slim = ev.map_batches(dedup_block, batch_format="pyarrow",
                           zero_copy_batch=True)
-    tagged = slim.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    partials = tagged.groupby(PKEY).map_groups(_basket_kernel,
-                                               batch_format="pyarrow")
+    partials = partition_apply(slim, ["user_id"], _basket_kernel,
+                               num_partitions)
 
     return partials.repartition(1).map_batches(_lift_final,
                                                batch_format="pyarrow")
@@ -1445,7 +1360,7 @@ def _lttb_kernel(group: pa.Table, bucket_pts: int) -> pa.Table:
     integer products well under 2**63 at these magnitudes.  The winner
     per bucket is argmax(score) with min-seq tiebreak, found by ONE
     lexsort + run-take (no Python loop over rows)."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     empty = pa.table({
@@ -1534,13 +1449,8 @@ def w18_lttb_downsample(sf_dir: str, bucket_pts: int = 5,
     kernel = reduceat bucket sums + one lexsort.  Exact int64 geometry
     throughout — the oracle reproduces every score."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_lttb_kernel, bucket_pts=bucket_pts),
-        batch_format="pyarrow")
+    kernel = functools.partial(_lttb_kernel, bucket_pts=bucket_pts)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- U2 ----
@@ -1550,7 +1460,7 @@ def _scd2_kernel(group: pa.Table) -> pa.Table:
     ts, ``valid_to`` = the NEXT row's ts (NULL on the current row),
     ``version`` = per-user sequence, ``is_current`` on the last row.
     One vectorized shift, no Python loop."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     if n == 0:
@@ -1595,12 +1505,7 @@ def u2_scd2_intervals(sf_dir: str, num_partitions: int = 16):
     shift per partition.  Oracle: ``lead(ts)``/``row_number()`` window
     functions."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_scd2_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _scd2_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W19 ----
@@ -1609,7 +1514,7 @@ def _ntile_kernel(group: pa.Table, k: int) -> pa.Table:
     event_id), assign 1..k tiles with SQL ntile() sizing — the first
     ``n % k`` tiles get ``n // k + 1`` rows, the rest ``n // k``.
     Vectorized closed form, no loop."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("value", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -1646,12 +1551,8 @@ def w19_ntile_quartiles(sf_dir: str, k: int = 4, num_partitions: int = 16):
     ``user_id``.  Oracle: SQL ``ntile(k)`` (sizing semantics reproduced
     in closed form)."""
     ev = _read_events(sf_dir, ["event_id", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_ntile_kernel, k=k), batch_format="pyarrow")
+    kernel = functools.partial(_ntile_kernel, k=k)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- J9 ----
@@ -1660,7 +1561,7 @@ def _coalesce_kernel(group: pa.Table, hold_us: int) -> pa.Table:
     for ``hold_us``; overlapping/touching intervals within a day merge
     into maximal busy islands.  Vectorized: one sort, a running-max of
     interval ends (shifted), break flags, cumsum, reduceat aggregates."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("day", "ascending"), ("lo", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     if n == 0:
@@ -1731,13 +1632,8 @@ def j9_interval_coalesce(sf_dir: str, hold_us: int = 300_000_000,
 
     prepped = ev.map_batches(prep, batch_format="pyarrow",
                              zero_copy_batch=True)
-    tagged = prepped.map_batches(
-        functools.partial(add_partition_key, keys=["day"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_coalesce_kernel, hold_us=hold_us),
-        batch_format="pyarrow")
+    kernel = functools.partial(_coalesce_kernel, hold_us=hold_us)
+    return partition_apply(prepped, ["day"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W20 ----
@@ -1813,7 +1709,7 @@ def _grid_locf_kernel(group: pa.Table) -> pa.Table:
     last observation at or before the end of that day (LOCF).  Fully
     vectorized: per-user day grids by repeat/arange, one global
     ``searchsorted`` over lifted (user-banded) timestamps."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     if n == 0:
@@ -1878,12 +1774,7 @@ def w21_grid_resample_locf(sf_dir: str, num_partitions: int = 16):
     LOCF lookup with ONE ``searchsorted`` over user-banded timestamps.
     Oracle: per-grid-row correlated last-event subquery in SQL."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_grid_locf_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _grid_locf_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W25 ----
@@ -1895,7 +1786,7 @@ def _volatility_kernel(group: pa.Table) -> pa.Table:
     discipline), no Python loop."""
     from anomalydetection_ray.functions.stats import segment_medians
 
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")])
     n = group.num_rows
     empty = pa.table({
@@ -1945,12 +1836,7 @@ def w25_volatility(sf_dir: str, num_partitions: int = 16):
     shifted subtraction + two lexsort-median passes.  Oracle: lag()
     deltas + DuckDB ``median()`` (exact halves/quarters on cent ints)."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_volatility_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _volatility_kernel, num_partitions)
 
 
 def _burstiness_kernel(group: pa.Table) -> pa.Table:
@@ -1965,7 +1851,7 @@ def _burstiness_kernel(group: pa.Table) -> pa.Table:
 
     from anomalydetection_ray.functions.stats import segment_medians
 
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -2027,12 +1913,7 @@ def w26_burstiness(sf_dir: str, num_partitions: int = 16):
     pinned sqrt/division tail.  Oracle: lag() gaps + median() +
     the same (sn - S)/(sn + S) expression."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_burstiness_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _burstiness_kernel, num_partitions)
 
 
 def _monotone_streak_kernel(group: pa.Table) -> pa.Table:
@@ -2041,7 +1922,7 @@ def _monotone_streak_kernel(group: pa.Table) -> pa.Table:
     per-group Python.  A streak is a maximal run of consecutive events
     (ts order) with value[i] > value[i-1]; a lone event is a streak of
     length 1; equal values break the streak."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -2085,19 +1966,15 @@ def w27_monotone_streaks(sf_dir: str, num_partitions: int = 16):
     per-group Python.  Oracle: the gaps-and-islands identity — island id
     = rn - running_sum(is_increase), run lengths by GROUP BY."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_monotone_streak_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _monotone_streak_kernel,
+                           num_partitions)
 
 
 def _rolling_extrema_kernel(group: pa.Table, k: int) -> pa.Table:
     """Per-partition trailing k-row max/min of value per user: k-1
     shifted-compare passes (O(k·n) vectorized, no per-row Python) — the
     monotonic-deque result without the deque."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -2139,15 +2016,9 @@ def w28_rolling_extrema(sf_dir: str, k: int = 5, num_partitions: int = 16):
     (O(k·n), zero per-row Python).  Oracle: max/min OVER (... ROWS k-1
     PRECEDING); the range is the same two IEEE operands subtracted on
     both sides."""
-    import functools as _ft
-
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        _ft.partial(_rolling_extrema_kernel, k=k), batch_format="pyarrow")
+    kernel = functools.partial(_rolling_extrema_kernel, k=k)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 def w29_arrival_lateness(sf_dir: str):
@@ -2223,7 +2094,7 @@ def _winsor_kernel(group: pa.Table) -> pa.Table:
     quantized values, one pinned division.  W7 drops the tails; W30
     keeps their count but caps their leverage — the estimator of choice
     when sample size must not shrink."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("value", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -2266,12 +2137,7 @@ def w30_winsorized_mean(sf_dir: str, num_partitions: int = 16):
     the clamped quantized sum is exact int64 and the mean one IEEE
     division the SQL oracle replays via row_number boundary lookups."""
     ev = _read_events(sf_dir, ["event_id", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_winsor_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _winsor_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- J13 ----
@@ -2360,7 +2226,7 @@ def _session_summary_kernel(group: pa.Table,
     the two pinned per-user divisions (mean events / mean duration per
     session).  Every user lives wholly inside one partition, so the
     summary needs no second exchange."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -2416,13 +2282,8 @@ def w31_session_summary(sf_dir: str, gap_us: int = GAP_US,
     one vectorized kernel, zero per-user Python; oracle = W1's
     lag/sum-over-breaks CTE aggregated per user."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_session_summary_kernel, gap_us=gap_us),
-        batch_format="pyarrow")
+    kernel = functools.partial(_session_summary_kernel, gap_us=gap_us)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W32 ----
@@ -2432,7 +2293,7 @@ def _drawdown_kernel(group: pa.Table) -> pa.Table:
     the exact int64 max with its peak and trough positions — the
     worst-case give-back statistic (risk/engagement collapse) next to
     W9's running total and W28's extrema envelope."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -2495,12 +2356,7 @@ def w32_max_drawdown(sf_dir: str, num_partitions: int = 16):
     deterministic first-trough tiebreak.  Oracle: running-max window
     minus running sum, argmax via ORDER BY (dd DESC, ts, event_id)."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_drawdown_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _drawdown_kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W33 ----
@@ -2532,13 +2388,8 @@ def w33_type_diversity(sf_dir: str, num_partitions: int = 16):
                              zero_copy_batch=True)
               .groupby(["user_id", "event_type"]).sum("c"))
 
-    tagged = counts.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-
     def kernel(part: pa.Table) -> pa.Table:
-        part = part.drop_columns([PKEY]).sort_by(
+        part = part.sort_by(
             [("user_id", "ascending")])
         n_rows = part.num_rows
         if n_rows == 0:
@@ -2569,8 +2420,7 @@ def w33_type_diversity(sf_dir: str, num_partitions: int = 16):
                                      type=pa.float64()),
         })
 
-    return tagged.groupby(PKEY).map_groups(kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(counts, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W34 ----
@@ -2623,10 +2473,6 @@ def w36_retention_triangle(sf_dir: str, num_partitions: int = 16):
 
     pre = ev.map_batches(to_weeks, batch_format="pyarrow",
                          zero_copy_batch=True)
-    tagged = pre.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
@@ -2635,7 +2481,7 @@ def w36_retention_triangle(sf_dir: str, num_partitions: int = 16):
                 "week_offset": pa.array([], type=pa.int64()),
                 "n_users": pa.array([], type=pa.int64()),
             })
-        part = part.drop_columns([PKEY]).sort_by(
+        part = part.sort_by(
             [("user_id", "ascending"), ("week", "ascending")])
         u = np.asarray(part.column("user_id"), dtype=np.int64)
         w = np.asarray(part.column("week"), dtype=np.int64)
@@ -2660,8 +2506,7 @@ def w36_retention_triangle(sf_dir: str, num_partitions: int = 16):
                          "week_offset": g.column("week_offset"),
                          "n_users": g.column("one_sum").cast(pa.int64())})
 
-    agg = (tagged.groupby(PKEY).map_groups(kernel,
-                                           batch_format="pyarrow")
+    agg = (partition_apply(pre, ["user_id"], kernel, num_partitions)
            .groupby(["cohort_week", "week_offset"]).sum("n_users"))
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -2708,10 +2553,6 @@ def w37_conversion_lag(sf_dir: str, num_partitions: int = 16):
 
     partials = ev.map_batches(pre, batch_format="pyarrow",
                               zero_copy_batch=True)
-    tagged = partials.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
@@ -2721,7 +2562,7 @@ def w37_conversion_lag(sf_dir: str, num_partitions: int = 16):
                 "first_purchase_us": pa.array([], type=pa.int64()),
                 "lag_us": pa.array([], type=pa.int64()),
             })
-        part = part.drop_columns([PKEY]).sort_by(
+        part = part.sort_by(
             [("user_id", "ascending")])
         uid = np.asarray(part.column("user_id"), dtype=np.int64)
         us = np.asarray(part.column("us"), dtype=np.int64)
@@ -2744,8 +2585,7 @@ def w37_conversion_lag(sf_dir: str, num_partitions: int = 16):
             "lag_us": pa.array(lag, type=pa.int64(), mask=~ok),
         })
 
-    return tagged.groupby(PKEY).map_groups(kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(partials, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W38 ----
@@ -2771,10 +2611,6 @@ def w38_active_streak(sf_dir: str, num_partitions: int = 16):
 
     pre = ev.map_batches(to_days, batch_format="pyarrow",
                          zero_copy_batch=True)
-    tagged = pre.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
@@ -2785,7 +2621,7 @@ def w38_active_streak(sf_dir: str, num_partitions: int = 16):
                 "streak_start_day": pa.array([], type=pa.int64()),
                 "n_max_streaks": pa.array([], type=pa.int64()),
             })
-        part = part.drop_columns([PKEY]).sort_by(
+        part = part.sort_by(
             [("user_id", "ascending"), ("day", "ascending")])
         u = np.asarray(part.column("user_id"), dtype=np.int64)
         d = np.asarray(part.column("day"), dtype=np.int64)
@@ -2829,8 +2665,7 @@ def w38_active_streak(sf_dir: str, num_partitions: int = 16):
             "n_max_streaks": pa.array(n_max, type=pa.int64()),
         })
 
-    return tagged.groupby(PKEY).map_groups(kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(pre, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W39 ----
@@ -2847,17 +2682,13 @@ def w39_dwell_time(sf_dir: str, num_partitions: int = 16):
     pinned division."""
     ev = _read_events(sf_dir, ["event_id", "user_id", "ts",
                                "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
 
     def kernel(part: pa.Table) -> pa.Table:
         if part.num_rows == 0:
             return pa.table({"event_type": pa.array([], type=pa.string()),
                              "n_dwells": pa.array([], type=pa.int64()),
                              "dwell_us": pa.array([], type=pa.int64())})
-        part = part.drop_columns([PKEY]).sort_by(
+        part = part.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"),
              ("event_id", "ascending")])
         n = part.num_rows
@@ -2878,8 +2709,7 @@ def w39_dwell_time(sf_dir: str, num_partitions: int = 16):
                          "n_dwells": g.column("one_sum").cast(pa.int64()),
                          "dwell_us": g.column("d_sum").cast(pa.int64())})
 
-    agg = (tagged.groupby(PKEY).map_groups(kernel,
-                                           batch_format="pyarrow")
+    agg = (partition_apply(ev, ["user_id"], kernel, num_partitions)
            .groupby("event_type").sum(["n_dwells", "dwell_us"]))
 
     # ONE execution: collect the bounded per-type rows (one per event
@@ -2909,7 +2739,7 @@ def _rolling_median_kernel(group: pa.Table, window: int) -> pa.Table:
     warm-up).  With an odd window the median of ints is exact; the
     window columns are ``window`` shifted gathers and the median is one
     ``np.partition`` over the stacked matrix — no per-row Python."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -2957,13 +2787,8 @@ def w43_rolling_median(sf_dir: str, window: int = 5,
     Scale shape: W3's ONE ``_pkey`` exchange; the kernel is ``window``
     shifted gathers + one ``np.partition``."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_rolling_median_kernel, window=window),
-        batch_format="pyarrow")
+    kernel = functools.partial(_rolling_median_kernel, window=window)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W45 ----
@@ -2973,7 +2798,7 @@ def _purchase_cadence_kernel(group: pa.Table) -> pa.Table:
     gap in exact int64 microseconds (G37's float-free rank rule — the
     (m+1)//2-th smallest gap).  Vectorized: one lexsort by (user-seg,
     gap) serves every user's rank read-off at once."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -3046,12 +2871,8 @@ def w45_purchase_cadence(sf_dir: str, num_partitions: int = 16):
 
     purchases = ev.map_batches(keep, batch_format="pyarrow",
                                zero_copy_batch=True)
-    tagged = purchases.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_purchase_cadence_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(purchases, ["user_id"], _purchase_cadence_kernel,
+                           num_partitions)
 
 
 # ---------------------------------------------------------------- W46 ----
@@ -3063,7 +2884,7 @@ def _trans_entropy_kernel(group: pa.Table) -> pa.Table:
     discipline — the oracle replays the fold via list_reduce)."""
     import math
 
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -3123,12 +2944,8 @@ def w46_transition_entropy(sf_dir: str, num_partitions: int = 16):
     bounded by n_types^2 terms per user."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id",
                                "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(_trans_entropy_kernel,
-                                           batch_format="pyarrow")
+    return partition_apply(ev, ["user_id"], _trans_entropy_kernel,
+                           num_partitions)
 
 
 # ---------------------------------------------------------------- W48 ----
@@ -3136,7 +2953,7 @@ def _trigram_kernel(group: pa.Table) -> pa.Table:
     """Per-partition (t1, t2, t3) path counts over each user's
     (ts, event_id)-ordered stream — bounded output (<= n_types^3 rows
     per partition) regardless of event volume."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -3181,12 +2998,7 @@ def w48_top_paths(sf_dir: str, k: int = 10, num_partitions: int = 16):
 
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id",
                                "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    counts = (tagged.groupby(PKEY).map_groups(_trigram_kernel,
-                                              batch_format="pyarrow")
+    counts = (partition_apply(ev, ["user_id"], _trigram_kernel, num_partitions)
               .groupby(["t1", "t2", "t3"])
               .aggregate(Sum("n", alias_name="n")))
 
@@ -3201,7 +3013,7 @@ def _trans_time_kernel(group: pa.Table) -> pa.Table:
     """Per-partition (t1, t2) transition counts + second-floored gap
     sums over each user's (ts, event_id)-ordered stream — bounded
     output (<= n_types^2 rows per partition)."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -3250,12 +3062,7 @@ def w52_transition_times(sf_dir: str, num_partitions: int = 16):
 
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id",
                                "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    agg = (tagged.groupby(PKEY).map_groups(_trans_time_kernel,
-                                           batch_format="pyarrow")
+    agg = (partition_apply(ev, ["user_id"], _trans_time_kernel, num_partitions)
            .groupby(["t1", "t2"])
            .aggregate(Sum("n", alias_name="n"),
                       Sum("gap_s_sum", alias_name="gap_s_sum")))
@@ -3282,7 +3089,7 @@ def _abandon_kernel(group: pa.Table) -> pa.Table:
     """Per-partition (day, n_sessions, n_abandoned, n_converted)
     partials over W1's 12-hour-gap sessions — vectorized run detection
     + ``reduceat`` aggregates, bounded day-domain output."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -3338,12 +3145,7 @@ def c9_abandoned_sessions(sf_dir: str, num_partitions: int = 16):
 
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id",
                                "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return (tagged.groupby(PKEY).map_groups(_abandon_kernel,
-                                            batch_format="pyarrow")
+    return (partition_apply(ev, ["user_id"], _abandon_kernel, num_partitions)
             .groupby("day")
             .aggregate(Sum("n_sessions", alias_name="n_sessions"),
                        Sum("n_abandoned", alias_name="n_abandoned"),
@@ -3357,7 +3159,7 @@ def _pingpong_kernel(group: pa.Table) -> pa.Table:
     with e_i = e_{i+2} <> e_{i+1} keyed by (t_a = e_i, t_b = e_{i+1}),
     plus the partition's total within-user triple count carried on a
     separate 'total' kind row — bounded <= n_types^2 + 1 rows."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -3418,12 +3220,7 @@ def w54_pingpong(sf_dir: str, num_partitions: int = 16):
 
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id",
                                "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return (tagged.groupby(PKEY).map_groups(_pingpong_kernel,
-                                            batch_format="pyarrow")
+    return (partition_apply(ev, ["user_id"], _pingpong_kernel, num_partitions)
             .groupby(["t_a", "t_b"])
             .aggregate(Sum("n_pingpong", alias_name="n_pingpong"),
                        Sum("n_triples", alias_name="n_triples")))
@@ -3435,7 +3232,7 @@ def _time_to_kth_kernel(group: pa.Table, k: int = 5) -> pa.Table:
     user's (ts, event_id)-ordered stream: whole seconds from the 1st
     to the k-th event (NULL when the user has fewer than k).  Users
     are partition-local (the exchange key), so output is exact."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -3469,13 +3266,8 @@ def w55_time_to_kth(sf_dir: str, k: int = 5, num_partitions: int = 16):
     Scale shape: ONE ``_pkey`` exchange (user-partitioned), vectorized
     first/k-th gathers per partition, one output row per user."""
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_time_to_kth_kernel, k=k),
-        batch_format="pyarrow")
+    kernel = functools.partial(_time_to_kth_kernel, k=k)
+    return partition_apply(ev, ["user_id"], kernel, num_partitions)
 
 
 # ---------------------------------------------------------------- W56 ----
@@ -3484,7 +3276,6 @@ def _return_gap_kernel(group: pa.Table) -> pa.Table:
     user with >= 2 DISTINCT active days, the day gap between the first
     and second active day — emitted as bounded (gap_days, n_users)
     rows plus a ``gap_days = -1`` row counting never-returned users."""
-    group = group.drop_columns([PKEY])
     uid = np.asarray(group.column("user_id"), dtype=np.int64)
     day = _ts_us(group.column("ts")) // 86_400_000_000
     order = np.lexsort((day, uid))
@@ -3517,12 +3308,8 @@ def w56_return_gap_hist(sf_dir: str, num_partitions: int = 16):
     partition vectorized distinct-day compaction + bounded histogram
     partials, tiny final sum."""
     ev = _read_events(sf_dir, ["ts", "user_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return (tagged.groupby(PKEY).map_groups(_return_gap_kernel,
-                                            batch_format="pyarrow")
+    return (partition_apply(ev, ["user_id"], _return_gap_kernel,
+                            num_partitions)
             .groupby("gap_days").sum("n_users")
             .map_batches(lambda b: pa.table({
                 "gap_days": b.column("gap_days"),
@@ -3536,7 +3323,6 @@ def _w58_cohort_kernel(group: pa.Table) -> pa.Table:
     day // 7, offset_week = (day - first_day) // 7) pairs, counted.
     Users never span partitions (the exchange keys on user_id), so the
     per-partition counts add exactly."""
-    group = group.drop_columns([PKEY])
     uid = np.asarray(group.column("user_id"), dtype=np.int64)
     day = _ts_us(group.column("ts")) // 86_400_000_000
     order = np.lexsort((day, uid))
@@ -3586,12 +3372,8 @@ def w58_retention_cohorts(sf_dir: str, num_partitions: int = 16):
     partition vectorized distinct compaction + bounded (cohort, offset)
     partials, tiny final sum over the bounded week grid."""
     ev = _read_events(sf_dir, ["ts", "user_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return (tagged.groupby(PKEY).map_groups(_w58_cohort_kernel,
-                                            batch_format="pyarrow")
+    return (partition_apply(ev, ["user_id"], _w58_cohort_kernel,
+                            num_partitions)
             .groupby(["cohort_week", "offset_week"]).sum("n_users")
             .map_batches(lambda b: pa.table({
                 "cohort_week": b.column("cohort_week"),
@@ -3704,12 +3486,8 @@ def _stickiness(sf_dir: str, active_only: bool, num_partitions: int = 16):
                         .rename_columns(["day", "sum(dau)", "sum(wdelta)"]))
 
     def exchange(ev):
-        tagged = ev.map_batches(
-            functools.partial(add_partition_key, keys=["user_id"],
-                              num_partitions=num_partitions),
-            batch_format="pyarrow", zero_copy_batch=True)
-        return (tagged.groupby(PKEY).map_groups(
-            _stickiness_kernel, batch_format="pyarrow")
+        return (partition_apply(ev, ["user_id"], _stickiness_kernel,
+                                num_partitions)
             .groupby("day").sum(["dau", "wdelta"])
             .repartition(1).map_batches(finalize, batch_format="pyarrow"))
 
@@ -3737,12 +3515,7 @@ def w61_second_order_entropy(sf_dir: str, num_partitions: int = 16):
 
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id",
                                "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    counts = (tagged.groupby(PKEY).map_groups(
-        _trigram_kernel, batch_format="pyarrow")
+    counts = (partition_apply(ev, ["user_id"], _trigram_kernel, num_partitions)
         .groupby(["t1", "t2", "t3"]).sum("n"))
 
     def finalize(group: pa.Table) -> pa.Table:
@@ -3774,7 +3547,6 @@ def _new_returning_kernel(group: pa.Table) -> pa.Table:
     """Per-partition (day, n_new, n_active) partials over distinct
     (user, day) activity: a user is NEW on their first-ever active day
     (users never span partitions, so partials add exactly)."""
-    group = group.drop_columns([PKEY])
     uid = np.asarray(group.column("user_id"), dtype=np.int64)
     day = _ts_us(group.column("ts")) // 86_400_000_000
     order = np.lexsort((day, uid))
@@ -3806,12 +3578,8 @@ def g51_new_vs_returning(sf_dir: str, num_partitions: int = 16):
     from anomalydetection_ray.stages.detectors import _split_double
 
     ev = _read_events(sf_dir, ["ts", "user_id"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    agg = (tagged.groupby(PKEY).map_groups(
-        _new_returning_kernel, batch_format="pyarrow")
+    agg = (partition_apply(ev, ["user_id"], _new_returning_kernel,
+                           num_partitions)
         .groupby("day").sum(["n_new", "n_active"]))
 
     def widen(batch: pa.Table) -> pa.Table:
@@ -3885,7 +3653,6 @@ def _persistence_kernel(group: pa.Table) -> pa.Table:
     pairs, how many have day < hi (denominator candidates) and how
     many of those also have day+1 active for the SAME user.  The
     global hi is attached per row upstream so partials stay exact."""
-    group = group.drop_columns([PKEY])
     uid = np.asarray(group.column("user_id"), dtype=np.int64)
     day = _ts_us(group.column("ts")) // 86_400_000_000
     hi = int(np.asarray(group.column("_hi"), dtype=np.int64)[0])
@@ -3934,15 +3701,11 @@ def w65_activity_persistence(sf_dir: str, num_partitions: int = 16):
             "_hi", pa.array(np.full(batch.num_rows, hi,
                                     dtype=np.int64)))
 
-    tagged = (ev.map_batches(attach_hi, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True))
-    agg = (tagged.groupby(PKEY).map_groups(
-        _persistence_kernel, batch_format="pyarrow")
-        .groupby("_one").sum(["n_candidates", "n_followed"]))
+    ev = ev.map_batches(attach_hi, batch_format="pyarrow",
+                        zero_copy_batch=True)
+    agg = (partition_apply(ev, ["user_id"], _persistence_kernel,
+                           num_partitions)
+           .groupby("_one").sum(["n_candidates", "n_followed"]))
 
     def widen(batch: pa.Table) -> pa.Table:
         cand = int(batch.column("sum(n_candidates)")[0].as_py())
@@ -3963,7 +3726,6 @@ def _typemask_kernel(group: pa.Table, type_order: tuple) -> pa.Table:
     """Per-partition (mask, n_users) partials: each user's set of
     event types as a bitmask over the FIXED type order — the bounded
     (2^n_types) sufficient statistic for every pairwise set overlap."""
-    group = group.drop_columns([PKEY])
     uid = np.asarray(group.column("user_id"), dtype=np.int64)
     et = np.asarray(group.column("event_type"))
     bit = np.zeros(uid.shape[0], dtype=np.int64)
@@ -3995,8 +3757,6 @@ def g57_type_user_jaccard(sf_dir: str, num_partitions: int = 16):
 
     Scale shape: ONE ``_pkey`` exchange; bounded mask partials; the
     pair read-off runs over <= 32 rows."""
-    import functools as _ft
-
     from anomalydetection_ray.stages.detectors import _split_double
 
     ev = _read_events(sf_dir, ["user_id", "event_type"])
@@ -4004,14 +3764,9 @@ def g57_type_user_jaccard(sf_dir: str, num_partitions: int = 16):
     types = tuple(sorted(
         r["event_type"] for r in ev.groupby("event_type").count()
         .select_columns(["event_type"]).take_all()))
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    masks = (tagged.groupby(PKEY).map_groups(
-        _ft.partial(_typemask_kernel, type_order=types),
-        batch_format="pyarrow")
-        .groupby("mask").sum("n_users"))
+    kernel = functools.partial(_typemask_kernel, type_order=types)
+    masks = (partition_apply(ev, ["user_id"], kernel, num_partitions)
+             .groupby("mask").sum("n_users"))
 
     def finalize(group: pa.Table) -> pa.Table:
         m = np.asarray(group.column("mask"), dtype=np.int64)
@@ -4050,7 +3805,7 @@ def _action_run_kernel(group: pa.Table) -> pa.Table:
     """Per-partition (type, n_runs, n_events) partials over each
     user's (ts, event_id)-ordered stream: a run is a maximal streak of
     the SAME event type within one user."""
-    group = group.drop_columns([PKEY]).sort_by(
+    group = group.sort_by(
         [("user_id", "ascending"), ("ts", "ascending"),
          ("event_id", "ascending")])
     n = group.num_rows
@@ -4097,12 +3852,7 @@ def w64_action_runs(sf_dir: str, num_partitions: int = 16):
 
     ev = _read_events(sf_dir, ["event_id", "ts", "user_id",
                                "event_type"])
-    tagged = ev.map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    agg = (tagged.groupby(PKEY).map_groups(
-        _action_run_kernel, batch_format="pyarrow")
+    agg = (partition_apply(ev, ["user_id"], _action_run_kernel, num_partitions)
         .groupby("event_type").sum(["n_runs", "n_events"]))
 
     def widen(batch: pa.Table) -> pa.Table:
@@ -4129,7 +3879,6 @@ def _growth_kernel(group: pa.Table) -> pa.Table:
     previous week too), resurrected (re-appearing after a gap),
     churned (attributed to the week AFTER each activity run ends,
     capped at the global max week carried in ``_hiw``)."""
-    group = group.drop_columns([PKEY])
     uid = np.asarray(group.column("user_id"), dtype=np.int64)
     wk = (_ts_us(group.column("ts")) // 86_400_000_000) // 7
     hiw = int(np.asarray(group.column("_hiw"), dtype=np.int64)[0])
@@ -4197,15 +3946,11 @@ def w68_growth_accounting(sf_dir: str, num_partitions: int = 16):
             "_hiw", pa.array(np.full(batch.num_rows, hiw,
                                      dtype=np.int64)))
 
-    tagged = (ev.map_batches(attach, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .map_batches(
-        functools.partial(add_partition_key, keys=["user_id"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True))
-    counts = (tagged.groupby(PKEY).map_groups(
-        _growth_kernel, batch_format="pyarrow")
-        .groupby(["week", "kind"]).sum("n"))
+    ev = ev.map_batches(attach, batch_format="pyarrow",
+                        zero_copy_batch=True)
+    counts = (partition_apply(ev, ["user_id"], _growth_kernel,
+                              num_partitions)
+              .groupby(["week", "kind"]).sum("n"))
 
     def widen(group: pa.Table) -> pa.Table:
         wk = np.asarray(group.column("week"), dtype=np.int64)

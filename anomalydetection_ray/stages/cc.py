@@ -28,27 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-
-def _dedup_min(ds, key: str, val: str, num_partitions: int):
-    """min(val) per key, partition-granular (one exchange, vectorized)."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import PKEY, add_partition_key, run_starts
-
-    def per_partition(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.drop_columns([PKEY]) if PKEY in batch.column_names else batch
-        batch = batch.drop_columns([PKEY]).sort_by(
-            [(key, "ascending"), (val, "ascending")]
-        )
-        starts = run_starts(batch, [key])
-        return batch.take(pa.array(starts, type=pa.int64()))
-
-    tagged = ds.map_batches(
-        functools.partial(add_partition_key, keys=[key], num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    return tagged.groupby(PKEY).map_groups(per_partition, batch_format="pyarrow")
+from anomalydetection_ray.stages.runs import (agg_by, keep_first_by,
+                                              partition_apply, run_starts)
 
 
 def min_label_components(pairs_ds, a_col: str, b_col: str,
@@ -70,9 +51,10 @@ def min_label_components(pairs_ds, a_col: str, b_col: str,
     def init_labels(batch: pa.Table) -> pa.Table:
         return pa.table({"v": batch.column("src"), "label": batch.column("src")})
 
-    labels = _dedup_min(edges.map_batches(init_labels, batch_format="pyarrow",
-                                          zero_copy_batch=True),
-                        "v", "label", num_partitions).materialize()
+    init = edges.map_batches(init_labels, batch_format="pyarrow",
+                             zero_copy_batch=True)
+    labels = keep_first_by(init, ["v"], ["label"],
+                           num_partitions).materialize()
 
     def _label_sum(ds) -> int:
         from ray.data.aggregate import Sum
@@ -97,8 +79,8 @@ def min_label_components(pairs_ds, a_col: str, b_col: str,
 
         cands = with_lbl.map_batches(as_candidate, batch_format="pyarrow",
                                      zero_copy_batch=True)
-        labels = _dedup_min(cands.union(labels), "v", "label",
-                            num_partitions).materialize()
+        labels = keep_first_by(cands.union(labels), ["v"], ["label"],
+                               num_partitions).materialize()
         # fixpoint: per-vertex labels are non-increasing, so the label sum
         # strictly decreases until convergence — one tiny aggregate, no join
         cur_sum = _label_sum(labels)
@@ -126,36 +108,6 @@ def min_label_components(pairs_ds, a_col: str, b_col: str,
 # ---------------------------------------------------------------- X5 ----
 PR_SCALE = 1_000_000  # integer rank units
 PR_BASE = (15 * PR_SCALE) // 100  # (1 - d) * SCALE with d = 0.85
-
-
-def _sum_per_key(ds, key: str, val: str, num_partitions: int):
-    """sum(val) per key, partition-granular (one exchange, vectorized
-    sort + cumsum-difference kernel)."""
-    import functools
-
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
-
-    def per_partition(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({key: pa.array([], type=pa.int64()),
-                             val: pa.array([], type=pa.int64())})
-        batch = batch.drop_columns([PKEY]).sort_by([(key, "ascending")])
-        starts = run_starts(batch, [key])
-        v = np.asarray(batch.column(val), dtype=np.int64)
-        c = np.concatenate(([0], np.cumsum(v)))
-        ends = np.append(starts[1:], batch.num_rows)
-        return pa.table({
-            key: batch.column(key).take(pa.array(starts)),
-            val: pa.array(c[ends] - c[starts], type=pa.int64()),
-        })
-
-    tagged = ds.map_batches(
-        functools.partial(add_partition_key, keys=[key],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return tagged.groupby(PKEY).map_groups(per_partition,
-                                           batch_format="pyarrow")
 
 
 def integer_pagerank(pairs_ds, a_col: str, b_col: str, iters: int = 3,
@@ -189,7 +141,8 @@ def integer_pagerank(pairs_ds, a_col: str, b_col: str, iters: int = 3,
         lambda b: pa.table({"v": b.column("src"),
                             "n": pa.array(np.ones(b.num_rows, np.int64))}),
         batch_format="pyarrow", zero_copy_batch=True)
-    state = _sum_per_key(ones, "v", "n", num_partitions).map_batches(
+    state = agg_by(ones, ["v"], [("n", "sum", "n")],
+                   num_partitions).map_batches(
         lambda b: pa.table({
             "v": b.column("v"), "deg": b.column("n"),
             "r": pa.array(np.full(b.num_rows, PR_SCALE, np.int64))}),
@@ -208,13 +161,11 @@ def integer_pagerank(pairs_ds, a_col: str, b_col: str, iters: int = 3,
             num_partitions=num_partitions)
 
         def per_partition_sum(batch: pa.Table) -> pa.Table:
-            from anomalydetection_ray.stages.runs import PKEY, run_starts
-
             if batch.num_rows == 0:
                 return pa.table({"v": pa.array([], type=pa.int64()),
                                  "deg": pa.array([], type=pa.int64()),
                                  "r": pa.array([], type=pa.int64())})
-            batch = batch.drop_columns([PKEY]).sort_by([("dst", "ascending")])
+            batch = batch.sort_by([("dst", "ascending")])
             starts = run_starts(batch, ["dst"])
             q = np.asarray(batch.column("q"), dtype=np.int64)
             c = np.concatenate(([0], np.cumsum(q)))
@@ -227,16 +178,8 @@ def integer_pagerank(pairs_ds, a_col: str, b_col: str, iters: int = 3,
                 "r": pa.array(PR_BASE + (85 * t) // 100, type=pa.int64()),
             })
 
-        import functools
-
-        from anomalydetection_ray.stages.runs import PKEY, add_partition_key
-
-        tagged = with_q.map_batches(
-            functools.partial(add_partition_key, keys=["dst"],
-                              num_partitions=num_partitions),
-            batch_format="pyarrow", zero_copy_batch=True)
-        state = tagged.groupby(PKEY).map_groups(
-            per_partition_sum, batch_format="pyarrow").materialize()
+        state = partition_apply(with_q, ["dst"], per_partition_sum,
+                                num_partitions).materialize()
 
     return state.map_batches(
         lambda b: pa.table({"doc_id": b.column("v"),
@@ -255,7 +198,7 @@ def triangle_census(pairs_ds, a_col: str, b_col: str,
 
     Distributed shape (node-iterator algorithm, ordered variant): every
     edge is stored once as (u < v); wedges are generated PER LOWER NODE
-    from its co-located higher adjacency (one `_pkey` exchange on u,
+    from its co-located higher adjacency (one ``partition_apply`` on u,
     vectorized triangular pair enumeration — no per-node Python), then
     the wedge relation semi-joins the edge relation co-partitioned on a
     packed (b << 32 | c) key, so each triangle a < b < c is found exactly
@@ -267,11 +210,7 @@ def triangle_census(pairs_ds, a_col: str, b_col: str,
     per-node adjacency fits a task (degree-squared wedge fan-out — salt
     or tile hot nodes before raising num_partitions if a node's degree
     reaches ~1e4).  Returns a ONE-ROW pyarrow table."""
-    import functools
-
     from anomalydetection_ray.stages.join import copartition_attach
-    from anomalydetection_ray.stages.runs import (PKEY, add_partition_key,
-                                                  run_starts)
 
     edges = pairs_ds.map_batches(
         lambda b: pa.table({"u": b.column(a_col).cast(pa.int64()),
@@ -285,7 +224,8 @@ def triangle_census(pairs_ds, a_col: str, b_col: str,
                                    b.column("v")]).combine_chunks(),
             "n": pa.array(np.ones(2 * b.num_rows, np.int64))}),
         batch_format="pyarrow", zero_copy_batch=True)
-    deg = _sum_per_key(both, "x", "n", num_partitions).materialize()
+    deg = agg_by(both, ["x"], [("n", "sum", "n")],
+                 num_partitions).materialize()
     n_nodes = deg.count()
     n_edges = edges.count()
 
@@ -299,13 +239,8 @@ def triangle_census(pairs_ds, a_col: str, b_col: str,
         zero_copy_batch=True).take_all())
 
     # wedge generation per lower node (adjacency = higher neighbors)
-    tagged = edges.map_batches(
-        functools.partial(add_partition_key, keys=["u"],
-                          num_partitions=num_partitions),
-        batch_format="pyarrow", zero_copy_batch=True)
-
     def gen_wedges(group: pa.Table) -> pa.Table:
-        g = group.drop_columns([PKEY]).sort_by(
+        g = group.sort_by(
             [("u", "ascending"), ("v", "ascending")])
         adj = np.asarray(g.column("v"), dtype=np.int64)
         starts = run_starts(g, ["u"])
@@ -325,8 +260,7 @@ def triangle_census(pairs_ds, a_col: str, b_col: str,
         return pa.table({"wk": pa.array((adj[p] << 32) | adj[q],
                                         type=pa.int64())})
 
-    wedges = tagged.groupby(PKEY).map_groups(gen_wedges,
-                                             batch_format="pyarrow")
+    wedges = partition_apply(edges, ["u"], gen_wedges, num_partitions)
     ekeys = edges.map_batches(
         lambda b: pa.table({
             "ek": pa.array((np.asarray(b.column("u"), np.int64) << 32)
@@ -368,7 +302,7 @@ def degree_assortativity(pairs_ds, a_col: str, b_col: str,
     heavy duplicators (template families), negative means hub-and-spoke
     copying.
 
-    Distributed shape: degrees from the X6 `_sum_per_key` exchange;
+    Distributed shape: degrees from the X6 ``agg_by`` exchange;
     degrees attach to both edge endpoints via co-partitioned lookups
     (no broadcast of the corpus, only of the partition routing); the
     Pearson moments collapse per block to ONE int64 row each, so the
@@ -389,7 +323,8 @@ def degree_assortativity(pairs_ds, a_col: str, b_col: str,
                                    b.column("v")]).combine_chunks(),
             "n": pa.array(np.ones(2 * b.num_rows, np.int64))}),
         batch_format="pyarrow", zero_copy_batch=True)
-    deg = _sum_per_key(both, "x", "n", num_partitions).materialize()
+    deg = agg_by(both, ["x"], [("n", "sum", "n")],
+                 num_partitions).materialize()
 
     # symmetrized directed edges, degree attached to each endpoint
     sym = edges.map_batches(

@@ -1,18 +1,23 @@
-"""Vectorized grouped-first / distinct over hash-partitioned runs.
+"""The engine's partition-granular key exchange and the kernels built on it.
 
-``groupby(keys).map_groups(take-first)`` costs one Python call per group —
-fine for thousands of groups, hopeless for 10^9.  ``keep_first_by`` does
-the same exchange once at PARTITION granularity instead: every row gets a
+``groupby(keys).map_groups(fn)`` costs one Python call per group — fine
+for thousands of groups, hopeless for 10^9.  ``partition_apply`` does the
+exchange once at PARTITION granularity instead: every row gets a
 deterministic ``_pkey = hash(keys) % num_partitions`` (vectorized siphash
 via ``pd.util.hash_array``, fixed key -> stable across processes), the
-groupby exchanges on that single int column, and each of the
-``num_partitions`` calls processes its whole partition with one C-level
-sort + one vectorized run-boundary ``take`` — per-group Python work is
-gone.  (With ``DataContext.shuffle_strategy = HASH_SHUFFLE`` the same
-shape could use ``repartition(keys=...)``; the groupby form works under
-the default sort shuffle too.)  Used by D1 exact dedup, the
-candidate-pair dedup stages, and the distributed G1 merge (SURVEY.md
-§2.2 D1/G1).
+groupby exchanges on that single int column, and the kernel runs once per
+partition on the whole partition, without ``_pkey`` — per-group Python
+work is gone.  (With ``DataContext.shuffle_strategy = HASH_SHUFFLE`` the
+same shape could use ``repartition(keys=...)``; the groupby form works
+under the default sort shuffle too.)
+
+``partition_apply`` is the one user-, key- or bucket-partitioned exchange
+of the query and dedup pipelines; ``keep_first_by`` (grouped first /
+distinct) and ``agg_by`` (grouped sum/min/max/count/first/last) are
+kernels on it.  Two exchanges tag rows themselves: J3's two-sided union in
+``stages/join.py``, which tags both sides before one groupby, and the
+distributed G1 merge in ``stages/merge.py``, which keys on its own
+``bucket2`` column.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ PKEY = "_pkey"
 
 def configure_shuffle(strategy: str | None = None) -> str:
     """Select the all-to-all exchange implementation for every ``_pkey``
-    groupby in the engine (D1 dedup, G1 merge, J3 join, CC rounds).
+    groupby in the engine: ``partition_apply`` (and with it
+    ``keep_first_by`` and ``agg_by``), J3's two-sided join and the G1
+    merge.
 
     ``strategy``: ``"hash"`` (Ray's hash-shuffle aggregators — the
     cluster-native form: rows route straight to their reducer, no global
@@ -98,9 +105,7 @@ def run_starts(batch: pa.Table, keys: list[str]) -> np.ndarray:
 
 def _first_of_runs(batch: pa.Table, keys: list[str], order_by: list[str]) -> pa.Table:
     if batch.num_rows == 0:
-        return batch.drop_columns([PKEY]) if PKEY in batch.column_names else batch
-    if PKEY in batch.column_names:
-        batch = batch.drop_columns([PKEY])
+        return batch
     sort_keys = [(k, "ascending") for k in (*keys, *order_by)]
     batch = batch.sort_by(sort_keys)
     starts = run_starts(batch, keys)
@@ -112,16 +117,9 @@ def keep_first_by(ds, keys: list[str], order_by: list[str] | None = None,
     """One row per distinct ``keys`` value: the first under ascending
     ``keys + order_by`` order (deterministic tiebreak).  Exactly equivalent
     to ``groupby(keys).map_groups(sort + take first)``."""
-    order_by = order_by or []
-    tagged = ds.map_batches(
-        functools.partial(add_partition_key, keys=keys, num_partitions=num_partitions),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return tagged.groupby(PKEY).map_groups(
-        functools.partial(_first_of_runs, keys=keys, order_by=order_by),
-        batch_format="pyarrow",
-    )
+    kernel = functools.partial(_first_of_runs, keys=keys,
+                               order_by=order_by or [])
+    return partition_apply(ds, keys, kernel, num_partitions)
 
 
 def partition_apply(ds, keys: list[str], kernel, num_partitions: int = 64):

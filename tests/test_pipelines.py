@@ -124,6 +124,33 @@ def test_keep_first_by_equals_groupby_first(ray_session):
     assert got[["k", "o", "payload"]].values.tolist() == df[["k", "o", "payload"]].values.tolist()
 
 
+def test_partition_apply_kernels_never_see_pkey(ray_session):
+    """The ``_pkey`` tag stays inside ``partition_apply``: its kernel never
+    sees the column, and neither it nor ``keep_first_by`` / ``agg_by``
+    return it."""
+    import ray
+    import ray.data
+
+    from anomalydetection_ray.stages.runs import (PKEY, agg_by, keep_first_by,
+                                                  partition_apply)
+
+    tbl = pa.table({"k": pa.array(np.arange(200, dtype=np.int64) % 13),
+                    "v": pa.array(np.arange(200, dtype=np.int64))})
+    ds = ray.data.from_arrow(tbl).repartition(4)
+
+    def kernel(part: pa.Table) -> pa.Table:
+        assert PKEY not in part.column_names
+        return part
+
+    outs = [partition_apply(ds, ["k"], kernel, 4),
+            keep_first_by(ds, ["k"], ["v"], 4),
+            agg_by(ds, ["k"], [("v", "sum", "v")], 4)]
+    for out in outs:
+        for t in ray.get(out.to_arrow_refs()):
+            assert PKEY not in t.column_names
+    assert sorted(outs[0].to_pandas()["v"]) == list(range(200))
+
+
 def test_copartition_attach_matches_pandas_join(ray_session):
     """J3: the co-partitioned equi-join equals a pandas left merge,
     including unmatched-key nulls and duplicate left keys."""

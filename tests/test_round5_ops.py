@@ -4927,3 +4927,34 @@ def test_sized_plan_matches_exchange(ray_session, tmp_path, monkeypatch,
 
         pd.testing.assert_frame_equal(canon(one), canon(want), check_dtype=False,
                                       check_exact=True)
+
+
+# ------------------------------------------- partition_apply invariance ----
+PARTITION_APPLY_QUERIES = [
+    ("queries", "a1_moving_stats_events"),
+    ("queries", "j10_snapshot_diff"),
+    ("queries", "w40_arrival_cadence"),
+    ("dedup", "d14_cross_source_exact"),
+    ("dedup", "d26_prefix_filter_join"),
+    ("text", "t17_dup_sentence_share"),
+    ("packing", "q15_token_budget_select"),
+    ("packing", "q16_shard_balance"),
+    ("packing", "p7_curriculum_order"),
+]
+
+
+@pytest.mark.parametrize("module,name", PARTITION_APPLY_QUERIES,
+                         ids=[n for _, n in PARTITION_APPLY_QUERIES])
+def test_partition_apply_invariance(ray_session, module, name):
+    """Queries whose key exchange is ``partition_apply`` give the same
+    rows on one partition as on sixteen."""
+    import importlib
+
+    import pandas as pd
+
+    q = getattr(importlib.import_module(
+        f"anomalydetection_ray.pipelines.{module}"), name)
+    one = _sorted_frame(q(SF, num_partitions=1))
+    many = _sorted_frame(q(SF, num_partitions=16))
+    assert len(one) > 0
+    pd.testing.assert_frame_equal(one, many)
