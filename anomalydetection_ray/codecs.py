@@ -39,10 +39,13 @@ Series Database", VLDB 2015:
   actor carries the (prev, prev_delta) state across rows — SURVEY.md §3 P2).
 
 Bit order is MSB-first within bytes.  Encoding uses a NumPy-vectorized
-variable-width bit packer (the only Python-level loop is the per-element
-control decision, which carries the sequential window state).  Both the
-oracle and the Ray engine call these exact functions, so round-trip and
-bit-for-bit checks are meaningful.
+variable-width bit packer and has no Python-level loop; the v2 decoder's
+only one is a per-chunk header walk (each chunk's position depends on the
+previous chunk's window).  ``gorilla_encode_rows`` / ``gorilla_decode_rows``
+run the v2 layout over many rows of a flat buffer at once (each row its
+own byte-aligned stream); ``gorilla_encode`` / ``gorilla_decode`` are
+their one-row case.  Both the oracle and the Ray engine call these exact
+functions, so round-trip and bit-for-bit checks are meaningful.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ __all__ = [
     "BitReader",
     "GORILLA_CHUNK",
     "gorilla_encode",
+    "gorilla_encode_rows",
     "gorilla_decode",
+    "gorilla_decode_rows",
     "gorilla_decode_ref",
     "dod_encode_chunk",
     "dod_encode_values",
@@ -78,15 +83,16 @@ def pack_bits(vals: np.ndarray, nbits: np.ndarray) -> bytes:
         return b""
     nb = nbits.astype(np.int64)
     ends = np.cumsum(nb)
-    starts = ends - nb
-    total = int(ends[-1])
-    nwords = (total + 63) // 64 + 1
-    words = np.zeros(nwords, dtype=np.uint64)
+    return _pack_at(vals, nb, ends - nb, (int(ends[-1]) + 7) // 8)
 
+
+def _pack_at(vals: np.ndarray, nb: np.ndarray, starts: np.ndarray, nbytes: int) -> bytes:
+    """``pack_bits`` with explicit, non-decreasing bit ``starts``: bits no
+    element covers (e.g. per-row byte padding) stay zero."""
+    words = np.zeros((8 * nbytes + 63) // 64 + 1, dtype=np.uint64)
     v = vals.astype(np.uint64)
-    word_idx = (starts >> 6).astype(np.int64)
-    off = (starts & 63).astype(np.int64)
-    sh = 64 - off - nb  # right-align within the word; negative => spans two
+    word_idx = starts >> 6
+    sh = 64 - (starts & 63) - nb  # right-align within the word; negative => spans two
     pos = sh >= 0
     sh_pos = np.where(pos, sh, 0).astype(np.uint64)
     sh_neg = np.where(pos, 0, -sh).astype(np.uint64)
@@ -98,7 +104,7 @@ def pack_bits(vals: np.ndarray, nbits: np.ndarray) -> bytes:
     # reduceat, then assign the per-word results collision-free.
     _or_into(words, word_idx, hi)
     _or_into(words, word_idx + 1, lo)
-    return words.byteswap().tobytes()[: (total + 7) // 8]
+    return words.byteswap().tobytes()[:nbytes]
 
 
 def _or_into(words: np.ndarray, idx: np.ndarray, val: np.ndarray) -> None:
@@ -144,98 +150,141 @@ def _clz_tz(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lz, tz
 
 
-def gorilla_encode(values: np.ndarray) -> bytes:
-    """E1: encode ``values[1:]`` (int32) against their predecessors using the
-    uniform chunked-window policy (codec v2 — module docstring).
-    ``values[0]`` is carried out-of-band (tier0 ``first_val``).  Pure NumPy:
-    no per-element Python loop."""
-    v = np.ascontiguousarray(values, dtype=np.int32).view(np.uint32)
-    n = v.shape[0]
-    if n <= 1:
-        return b""
-    m = n - 1
-    xor = (v[1:] ^ v[:-1]).astype(np.uint64)
+def _seg_index(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For segments of ``lens`` laid end to end: each element's segment id
+    and its index within the segment."""
+    seg = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
+    first = np.cumsum(lens) - lens
+    return seg, np.arange(seg.shape[0], dtype=np.int64) - first[seg]
+
+
+def gorilla_encode_rows(dense: np.ndarray, offsets: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """E1 over a flat buffer of rows: row ``i`` is
+    ``dense[offsets[i]:offsets[i + 1]]``.  Each row is its own v2 stream
+    (the XOR restarts at the row's first value, which is carried
+    out-of-band as tier0 ``first_val``) padded to a byte boundary, so
+    ``data[byte_offsets[i]:byte_offsets[i + 1]]`` is exactly
+    ``gorilla_encode`` of row ``i``.  One ``pack_bits`` pass at explicit
+    bit starts; no per-row or per-element Python loop."""
+    v = np.ascontiguousarray(dense, dtype=np.int32).view(np.uint32)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    m = np.maximum(np.diff(offsets), 1) - 1  # XOR elements per row
+    rows, j = _seg_index(m)
+    pos = offsets[:-1][rows] + 1 + j  # each element's value position
+    xor = (v[pos] ^ v[pos - 1]).astype(np.uint64)
     nz = xor != 0
     # sentinel 63 keeps zero elements out of the per-chunk window mins
-    lz = np.full(m, 63, dtype=np.int64)
-    tz = np.full(m, 63, dtype=np.int64)
+    lz = np.full(xor.shape[0], 63, dtype=np.int64)
+    tz = np.full(xor.shape[0], 63, dtype=np.int64)
     if nz.any():
         lz[nz], tz[nz] = _clz_tz(xor[nz].astype(np.uint32))
-    starts = np.arange(0, m, GORILLA_CHUNK, dtype=np.int64)
-    wlz = np.minimum.reduceat(lz, starts)
-    wtz = np.minimum.reduceat(tz, starts)
+    is_first = j % GORILLA_CHUNK == 0  # chunk-first elements: '11' header
+    starts = np.flatnonzero(is_first)
+    cid = np.cumsum(is_first) - 1
+    if starts.shape[0]:
+        wlz = np.minimum.reduceat(lz, starts)
+        wtz = np.minimum.reduceat(tz, starts)
+    else:
+        wlz = wtz = np.empty(0, dtype=np.int64)
     allz = wlz == 63  # all-zero chunk: 1-bit mantissas of 0
     wlz[allz] = 31
     wtz[allz] = 0
     wlen = 32 - wlz - wtz  # in [1..32]; fits the 6-bit header field
-    cid = np.repeat(np.arange(starts.size, dtype=np.int64), GORILLA_CHUNK)[:m]
     elen = wlen[cid].astype(np.uint64)
     mant = xor >> wtz[cid].astype(np.uint64)
     out_v = (np.uint64(0b10) << elen) | mant
-    out_b = (2 + wlen[cid]).astype(np.uint8)
-    # chunk-first elements carry the '11' header instead of the '10' control
-    hdr = ((np.uint64(0b11) << np.uint64(11)) | (wlz.astype(np.uint64) << np.uint64(6)) | wlen.astype(np.uint64))
+    out_b = 2 + wlen[cid]
+    hdr = (np.uint64(0b11) << np.uint64(11)) | (wlz.astype(np.uint64) << np.uint64(6)) | wlen.astype(np.uint64)
     out_v[starts] = (hdr << wlen.astype(np.uint64)) | mant[starts]
-    out_b[starts] = (13 + wlen).astype(np.uint8)
-    return pack_bits(out_v, out_b)
+    out_b[starts] = 13 + wlen
+    # row bit lengths -> byte-aligned row offsets -> each element's bit start
+    cb = np.concatenate(([0], np.cumsum(out_b)))
+    row_cb = cb[np.concatenate(([0], np.cumsum(m)))]
+    byte_offsets = np.concatenate(([0], np.cumsum((np.diff(row_cb) + 7) >> 3)))
+    bit_starts = cb[:-1] + (8 * byte_offsets[:-1] - row_cb[:-1])[rows]
+    return _pack_at(out_v, out_b, bit_starts, int(byte_offsets[-1])), byte_offsets
 
 
-def gorilla_decode(first_val: int, data: bytes, n: int) -> np.ndarray:
-    """E3 fast path: vectorized inverse of the v2 chunked-window layout.
-    Sequential work is one small Python iteration **per chunk** (header
-    parse); all mantissa extraction and the XOR prefix scan are NumPy.
+def gorilla_encode(values: np.ndarray) -> bytes:
+    """E1: encode ``values[1:]`` (int32) against their predecessors using the
+    uniform chunked-window policy (codec v2 — module docstring).
+    ``values[0]`` is carried out-of-band (tier0 ``first_val``).  The
+    one-row case of ``gorilla_encode_rows``."""
+    values = np.asarray(values)
+    return gorilla_encode_rows(values, np.array([0, values.shape[0]]))[0]
+
+
+def gorilla_decode_rows(
+    first_vals: np.ndarray, data: bytes | np.ndarray, byte_offsets: np.ndarray, n_tok: np.ndarray
+) -> np.ndarray:
+    """E3 fast path over many rows: inverse of ``gorilla_encode_rows``.
+    Row ``i`` has ``n_tok[i]`` values, its first value ``first_vals[i]``
+    and its v2 stream starting at byte ``byte_offsets[i]`` of ``data``
+    (streams need not be contiguous or ordered).  Returns the rows'
+    values end to end as one flat int32 array.
+
+    The only sequential work is one small Python iteration **per chunk**
+    over all rows (the '11' header parse: each chunk's position depends on
+    the previous chunk's window); mantissa extraction and the XOR prefix
+    scan (one ``bitwise_xor.accumulate``, segmented per row) are NumPy.
     Only valid for streams written by this module's ``gorilla_encode``
     (codec_version >= 2); use ``gorilla_decode_ref`` for arbitrary
     conformant streams (e.g. v1 greedy blocks)."""
-    if n <= 1:
-        out = np.empty(n, dtype=np.uint32)
-        if n == 1:
-            out[0] = np.uint32(first_val & 0xFFFFFFFF)
+    n = np.asarray(n_tok, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(n)))
+    total = int(offsets[-1])
+    out = np.empty(total, dtype=np.uint32)
+    if total == 0:
         return out.view(np.int32)
-    m = n - 1
-    buf = np.frombuffer(data, dtype=np.uint8)
-    pad = np.zeros(buf.shape[0] + 8, dtype=np.uint8)
-    pad[: buf.shape[0]] = buf
+    m = np.maximum(n, 1) - 1  # XOR elements per row
+    nch = (m + GORILLA_CHUNK - 1) // GORILLA_CHUNK
+    crow, k = _seg_index(nch)
+    elems = np.minimum(m[crow] - k * GORILLA_CHUNK, GORILLA_CHUNK)
+    pad = np.zeros(len(data) + 8, dtype=np.uint8)
+    pad[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     raw = pad.tobytes()
-    nchunks = (m + GORILLA_CHUNK - 1) // GORILLA_CHUNK
-    cs = np.empty(nchunks, dtype=np.int64)  # chunk start bit
-    wlen = np.empty(nchunks, dtype=np.int64)
-    wtz = np.empty(nchunks, dtype=np.int64)
+    row_bit = (8 * np.asarray(byte_offsets, dtype=np.int64)[crow]).tolist()
+    row_first = (k == 0).tolist()
+    step = elems - 1
+    cs = [0] * crow.shape[0]  # chunk start bit
+    hdrs = [0] * crow.shape[0]
     bitpos = 0
-    rem = m
-    for c in range(nchunks):
-        cs[c] = bitpos
+    for c, e in enumerate(step.tolist()):
+        if row_first[c]:
+            bitpos = row_bit[c]
         byte0 = bitpos >> 3
-        word = int.from_bytes(raw[byte0 : byte0 + 3], "big")
-        hdr = (word >> (24 - (bitpos & 7) - 13)) & 0x7FF  # 11 bits after '11'
+        hdr = (int.from_bytes(raw[byte0 : byte0 + 3], "big") >> (11 - (bitpos & 7))) & 0x7FF
         ln = hdr & 63
-        wlen[c] = ln
-        wtz[c] = 32 - (hdr >> 6) - ln
-        elems = rem if rem < GORILLA_CHUNK else GORILLA_CHUNK
-        bitpos += 13 + ln + (elems - 1) * (2 + ln)
-        rem -= elems
-    cid = np.repeat(np.arange(nchunks, dtype=np.int64), GORILLA_CHUNK)[:m]
-    j = np.arange(m, dtype=np.int64) - cid * GORILLA_CHUNK
+        cs[c] = bitpos
+        hdrs[c] = hdr
+        bitpos += 13 + ln + e * (2 + ln)
+    hdr_a = np.array(hdrs, dtype=np.int64)
+    wlen = hdr_a & 63
+    wtz = 32 - (hdr_a >> 6) - wlen
+    cid, j = _seg_index(elems)
     ln_e = wlen[cid]
-    # mantissa bit offsets: chunk-first after the 13-bit header, the rest
-    # after their 2-bit '10' control
-    mstart = np.where(
-        j == 0,
-        cs[cid] + 13,
-        cs[cid] + 13 + ln_e + (j - 1) * (2 + ln_e) + 2,
-    )
-    byte_idx = mstart >> 3
-    word = np.zeros(m, dtype=np.uint64)
-    for k in range(8):
-        word = (word << np.uint64(8)) | pad[byte_idx + k].astype(np.uint64)
-    shift = (64 - (mstart & 7) - ln_e).astype(np.uint64)
-    mask = np.where(ln_e >= 64, _MASK64, (np.uint64(1) << ln_e.astype(np.uint64)) - np.uint64(1))
-    mant = (word >> shift) & mask
-    xor = (mant << wtz[cid].astype(np.uint64)).astype(np.uint32)
-    out = np.empty(n, dtype=np.uint32)
-    out[0] = np.uint32(first_val & 0xFFFFFFFF)
-    out[1:] = xor
-    return np.bitwise_xor.accumulate(out).view(np.int32)
+    # mantissa bit offsets: the chunk-first one follows the 13-bit header,
+    # element j > 0 follows j - 1 whole elements and its 2-bit '10' control
+    mstart = np.array(cs, dtype=np.int64)[cid] + 13 + j * (2 + ln_e)
+    # big-endian 64-bit word at every byte offset (a strided view, no copy)
+    win = np.ndarray((pad.shape[0] - 7,), dtype=">u8", buffer=pad, strides=(1,))
+    word = win[mstart >> 3].astype(np.uint64)
+    ln_u = ln_e.astype(np.uint64)
+    mant = (word >> (64 - (mstart & 7) - ln_e).astype(np.uint64)) & ((np.uint64(1) << ln_u) - np.uint64(1))
+    row_start = np.zeros(total, dtype=bool)
+    row_start[offsets[:-1][n > 0]] = True
+    out[row_start] = (np.asarray(first_vals, dtype=np.int64)[n > 0] & 0xFFFFFFFF).astype(np.uint32)
+    out[~row_start] = (mant << wtz[cid].astype(np.uint64)).astype(np.uint32)
+    # segmented prefix XOR: undo the running XOR carried in from earlier rows
+    acc = np.bitwise_xor.accumulate(out)
+    before = np.concatenate(([0], acc))[offsets[:-1]].astype(np.uint32)
+    return (acc ^ np.repeat(before, n)).view(np.int32)
+
+
+def gorilla_decode(first_val: int, data: bytes, n: int) -> np.ndarray:
+    """E3 fast path for one row: the one-row case of
+    ``gorilla_decode_rows``."""
+    return gorilla_decode_rows(np.array([first_val]), data, np.zeros(1, dtype=np.int64), np.array([n]))
 
 
 def gorilla_decode_ref(first_val: int, data: bytes, n: int) -> np.ndarray:

@@ -17,23 +17,30 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from anomalydetection_ray.codecs import (
     DodState,
     checksum64,
-    gorilla_decode,
+    dod_encode_values,
     gorilla_decode_ref,
-    gorilla_encode,
+    gorilla_decode_rows,
+    gorilla_encode_rows,
     state_hash,
 )
 from anomalydetection_ray.constants import CODEC_VERSION, ENGINE_VERSION
-from anomalydetection_ray.functions.stats import gap_fill
 from anomalydetection_ray.oracle import TIER0_SCHEMA
+from anomalydetection_ray.stages.rollup import _flat_tokens, _locf_flat
 from anomalydetection_ray.state.manifest import write_manifest_row
+
+# tokens per row slice of encode_rows / decode_batch: bounds the kernels'
+# per-token temporaries (a longer row is a slice of its own)
+SLICE_TOKENS = 1 << 15
 
 SUMMARY_SCHEMA = pa.schema(
     [
@@ -62,54 +69,100 @@ def assign_partition(batch: pa.Table, num_parts: int) -> pa.Table:
     return batch.append_column("pid", pa.array(pids, type=pa.int32()))
 
 
-def encode_rows(batch: pa.Table) -> pa.Table:
-    """Encode validated part rows -> tier0 rows (order = input order; the
-    DoD n_tok stream runs across the batch in that order)."""
-    from anomalydetection_ray.codecs import dod_encode_values
+def _row_slices(lens: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[start, end)`` row ranges of at most ``SLICE_TOKENS``
+    tokens each; a longer row is a range of its own.  One iteration per
+    range, not per row."""
+    ends = np.cumsum(lens)
+    r = 0
+    while r < lens.shape[0]:
+        e = int(np.searchsorted(ends, ends[r] - lens[r] + SLICE_TOKENS, side="right"))
+        e = max(e, r + 1)
+        yield r, e
+        r = e
 
-    tokens = batch.column("tokens")
-    if isinstance(tokens, pa.ChunkedArray):
-        tokens = tokens.combine_chunks()
-    n_rows = batch.num_rows
+
+def _binary_flat(col) -> tuple[np.ndarray, np.ndarray]:
+    """(data bytes, rebased int64 row offsets) of a binary column; the
+    data is a zero-copy view of the rows' own byte range."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    offs = np.frombuffer(col.buffers()[1], dtype=np.int32)[col.offset : col.offset + len(col) + 1]
+    buf = col.buffers()[2]
+    data = np.frombuffer(buf, dtype=np.uint8) if buf is not None else np.empty(0, dtype=np.uint8)
+    return data[offs[0] : offs[-1]], offs.astype(np.int64) - offs[0]
+
+
+def _binary_array(data: bytes, lens: np.ndarray, valid: np.ndarray | None = None) -> pa.Array:
+    """Binary array of rows ``lens`` bytes long, laid end to end in ``data``."""
+    offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int32)
+    vbuf = None if valid is None else pa.py_buffer(np.packbits(valid, bitorder="little"))
+    return pa.Array.from_buffers(
+        pa.binary(), lens.shape[0], [vbuf, pa.py_buffer(offsets), pa.py_buffer(data)],
+        null_count=-1 if valid is not None else 0,
+    )
+
+
+def _bitmap_index(offsets: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+    """Each token's bit in the rows' null bitmaps laid end to end, row
+    ``i``'s bitmap ``nbytes[i]`` bytes long (MSB-first, as np.packbits)."""
+    bstart = np.cumsum(nbytes) - nbytes
+    return np.arange(offsets[-1], dtype=np.int64) + np.repeat(8 * bstart - offsets[:-1], np.diff(offsets))
+
+
+def _row_checksums(dense: np.ndarray, offsets: np.ndarray) -> list[int]:
+    """checksum64 of each row's int32 bytes (one zlib pass per row)."""
+    mv = memoryview(np.ascontiguousarray(dense, dtype=np.int32)).cast("B")
+    return [checksum64(mv[4 * a : 4 * b]) for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+
+
+def encode_rows(batch: pa.Table) -> tuple[pa.Table, DodState]:
+    """Encode validated part rows -> (tier0 rows, the DoD n_tok stream
+    state).  Order = input order; the DoD stream runs across the batch in
+    that order.  Works over the flat token buffer in row slices of at
+    most ``SLICE_TOKENS`` tokens: LOCF fill, one row-batched Gorilla pass
+    and one ``packbits`` of the null bitmaps per slice."""
+    lens = pc.list_value_length(batch.column("tokens")).to_numpy().astype(np.int64)
+    first_vals = np.zeros(lens.shape[0], dtype=np.int32)
+    checksums: list[int] = []
+    enc, bms = [], []
+    enc_lens, bm_lens = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for a, e in _row_slices(lens):
+        n = lens[a:e]
+        vals, valid, offs = _flat_tokens(batch.slice(a, e - a))
+        dense = vals if valid is None else _locf_flat(vals, valid, offs)
+        rows = np.flatnonzero(n)
+        first_vals[a + rows] = dense[offs[rows]]
+        checksums += _row_checksums(dense, offs)
+        data, boffs = gorilla_encode_rows(dense, offs)
+        enc.append(data)
+        enc_lens.append(np.diff(boffs))
+        nbytes = np.zeros(e - a, dtype=np.int64)
+        if valid is not None:
+            # rows with a null keep np.packbits of their validity: each
+            # row's bits start on a byte, so one packbits covers the slice
+            has = np.diff(np.concatenate(([0], np.cumsum(~valid)))[offs]) > 0
+            nbytes[has] = (n[has] + 7) >> 3
+            sel = np.repeat(has, n)
+            bits = np.zeros(8 * int(nbytes.sum()), dtype=bool)
+            bits[_bitmap_index(offs, nbytes)[sel]] = valid[sel]
+            bms.append(np.packbits(bits).tobytes())
+        bm_lens.append(nbytes)
     dod = DodState()
-    # per-row variable-size outputs stay Python lists; everything scalar is
-    # a NumPy array (the hot per-token work is all inside gorilla_encode)
-    n_toks = np.empty(n_rows, dtype=np.int32)
-    first_vals = np.zeros(n_rows, dtype=np.int32)
-    checksums = np.empty(n_rows, dtype=np.uint64)
-    enc_list: list[bytes] = []
-    bitmaps: list[bytes | None] = []
-    for i in range(n_rows):
-        arr = tokens[i].values
-        if arr.null_count:
-            valid = np.asarray(arr.is_valid())
-            vals = np.asarray(arr.fill_null(0), dtype=np.int32)
-        else:
-            valid = None
-            vals = np.asarray(arr, dtype=np.int32) if len(arr) else np.empty(0, dtype=np.int32)
-        n = vals.shape[0]
-        dense, _ = gap_fill(vals, valid, "locf")
-        bitmaps.append(
-            np.packbits(valid).tobytes() if valid is not None and not bool(valid.all()) else None
-        )
-        n_toks[i] = n
-        if n:
-            first_vals[i] = dense[0]
-        enc_list.append(gorilla_encode(dense))
-        checksums[i] = checksum64(np.ascontiguousarray(dense, dtype=np.int32).tobytes())
-    dod_chunks = dod_encode_values(dod, n_toks)
+    dod_chunks = dod_encode_values(dod, lens)
+    bm_lens = np.concatenate(bm_lens)
     tbl = pa.table(
         {
             "doc_id": batch.column("doc_id"),
             "source": batch.column("source"),
             "part_id": batch.column("part_id"),
-            "n_tok": pa.array(n_toks, type=pa.int32()),
+            "n_tok": pa.array(lens.astype(np.int32), type=pa.int32()),
             "first_val": pa.array(first_vals, type=pa.int32()),
-            "gorilla_xor": pa.array(enc_list, type=pa.binary()),
+            "gorilla_xor": _binary_array(b"".join(enc), np.concatenate(enc_lens)),
             "dod_ntok": pa.array(dod_chunks, type=pa.binary()),
-            "codec_version": pa.array(np.full(n_rows, CODEC_VERSION, dtype=np.int32)),
-            "value_checksum": pa.array(checksums, type=pa.uint64()),
-            "null_bitmap": pa.array(bitmaps, type=pa.binary()),
+            "codec_version": pa.array(np.full(lens.shape[0], CODEC_VERSION, dtype=np.int32)),
+            "value_checksum": pa.array(np.array(checksums, dtype=np.uint64), type=pa.uint64()),
+            "null_bitmap": _binary_array(b"".join(bms), bm_lens, valid=bm_lens > 0),
         },
         schema=TIER0_SCHEMA,
     )
@@ -130,8 +183,6 @@ class EncodePartition:
         tier0, dod = encode_rows(group)
         wall = time.monotonic() - t0
         tokens = int(np.asarray(group.column("n_tok"), dtype=np.int64).sum())
-        import pyarrow.compute as pc
-
         enc_bytes = int(pc.sum(pc.binary_length(tier0.column("gorilla_xor"))).as_py() or 0)
         sh = state_hash(dod)
         if self.out_dir is not None:
@@ -166,34 +217,38 @@ class EncodePartition:
 
 def decode_batch(batch: pa.Table) -> pa.Table:
     """E3 as a stateless stage: tier0 rows -> decoded token parts + a
-    checksum verdict (scale-path verification; SURVEY.md §3 P3).  The
-    decoded values are assembled into one flat int32 buffer + offsets
-    (zero-copy ListArray) instead of per-row Python lists."""
-    n_rows = batch.num_rows
+    checksum verdict (scale-path verification; SURVEY.md §3 P3).  Row
+    slices of at most ``SLICE_TOKENS`` tokens are decoded by one
+    row-batched Gorilla pass each into one flat int32 buffer + offsets
+    (zero-copy ListArray)."""
     n_tok = np.asarray(batch.column("n_tok"), dtype=np.int64)
-    first_vals = np.asarray(batch.column("first_val"), dtype=np.int64)
-    checksums = np.asarray(batch.column("value_checksum"), dtype=np.uint64)
-    versions = np.asarray(batch.column("codec_version"), dtype=np.int64)
-    enc_col = batch.column("gorilla_xor").to_pylist()
-    bm_col = batch.column("null_bitmap").to_pylist()
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(n_tok, out=offsets[1:])
+    offsets = np.concatenate(([0], np.cumsum(n_tok)))
     flat = np.empty(int(offsets[-1]), dtype=np.int32)
     valid = np.ones(int(offsets[-1]), dtype=bool)
-    ok = np.empty(n_rows, dtype=bool)
-    for i in range(n_rows):
-        n = int(n_tok[i])
-        # dispatch on the codec_version column: the fast vectorized decoder
+    ok = np.empty(n_tok.shape[0], dtype=bool)
+    for a, e in _row_slices(n_tok):
+        t = batch.slice(a, e - a)
+        n = n_tok[a:e]
+        offs = offsets[a : e + 1] - offsets[a]
+        first = np.asarray(t.column("first_val"), dtype=np.int64)
+        data, boffs = _binary_flat(t.column("gorilla_xor"))
+        # dispatch on the codec_version column: the row-batched decoder
         # assumes the v2 chunked-window layout; v1 greedy blocks (persisted
         # by earlier engine versions) go through the generic grammar follower
-        dec_fn = gorilla_decode if versions[i] >= 2 else gorilla_decode_ref
-        dec = dec_fn(int(first_vals[i]), enc_col[i], n)
-        ok[i] = checksum64(np.ascontiguousarray(dec, dtype=np.int32).tobytes()) == int(checksums[i])
-        flat[offsets[i] : offsets[i + 1]] = dec
-        if bm_col[i] is not None:
-            valid[offsets[i] : offsets[i + 1]] = np.unpackbits(
-                np.frombuffer(bm_col[i], dtype=np.uint8), count=n
-            ).astype(bool)
+        v2 = np.asarray(t.column("codec_version"), dtype=np.int64) >= 2
+        dec = flat[offsets[a] : offsets[e]]
+        dec[np.repeat(v2, n)] = gorilla_decode_rows(first[v2], data, boffs[:-1][v2], n[v2])
+        for i in np.flatnonzero(~v2).tolist():
+            dec[offs[i] : offs[i + 1]] = gorilla_decode_ref(
+                int(first[i]), data[boffs[i] : boffs[i + 1]].tobytes(), int(n[i]))
+        ok[a:e] = np.array(_row_checksums(dec, offs), dtype=np.uint64) == np.asarray(
+            t.column("value_checksum"), dtype=np.uint64)
+        bm_col = t.column("null_bitmap")
+        if bm_col.null_count < e - a:
+            bm, bm_offs = _binary_flat(bm_col)
+            sel = np.repeat(np.asarray(bm_col.is_valid()), n)
+            bits = np.unpackbits(bm).astype(bool)
+            valid[offsets[a] : offsets[e]][sel] = bits[_bitmap_index(offs, np.diff(bm_offs))[sel]]
     values = pa.array(flat, type=pa.int32(), mask=~valid)
     toks = pa.LargeListArray.from_arrays(pa.array(offsets, type=pa.int64()), values).cast(
         pa.list_(pa.int32())

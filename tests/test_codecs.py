@@ -199,32 +199,104 @@ def test_v1_block_decodes_through_pipeline():
     assert out.column("checksum_ok").to_pylist() == [True] * len(rows)
 
 
-def test_mixed_version_batch_dispatch():
-    """A batch mixing v1 and v2 rows decodes each with its own policy."""
+def test_mixed_version_batch_dispatch(monkeypatch):
+    """A batch mixing v1 and v2 rows decodes each with its own policy, also
+    when the rows straddle row-slice edges, and null bitmaps give back the
+    valid masks."""
     import pyarrow as pa
 
     from anomalydetection_ray.constants import CODEC_VERSION
     from anomalydetection_ray.oracle import TIER0_SCHEMA
+    from anomalydetection_ray.stages import encode
     from anomalydetection_ray.stages.encode import decode_batch
 
     rng = np.random.default_rng(11)
-    rows = []
-    for i, ver in enumerate((1, CODEC_VERSION, 1, CODEC_VERSION)):
-        vals = rng.integers(0, 50257, 500).astype(np.int32)
+    rows, masks = [], []
+    for i, (ver, n) in enumerate(
+        [(1, 500), (CODEC_VERSION, 500), (1, 5), (CODEC_VERSION, 6), (CODEC_VERSION, 0),
+         (1, 9), (CODEC_VERSION, 1), (CODEC_VERSION, 33), (1, 2), (CODEC_VERSION, 500)]
+    ):
+        vals = rng.integers(0, 50257, n).astype(np.int32)
+        valid = rng.random(n) > 0.3 if i % 3 == 0 and n else None
         enc = _gorilla_encode_v1(vals) if ver == 1 else gorilla_encode(vals)
         rows.append(
             {
                 "doc_id": f"m{i}",
                 "source": "s",
                 "part_id": 0,
-                "n_tok": 500,
-                "first_val": int(vals[0]),
+                "n_tok": n,
+                "first_val": int(vals[0]) if n else 0,
                 "gorilla_xor": enc,
                 "dod_ntok": b"",
                 "codec_version": ver,
                 "value_checksum": checksum64(vals.tobytes()),
-                "null_bitmap": None,
+                "null_bitmap": None if valid is None else np.packbits(valid).tobytes(),
             }
         )
-    out = decode_batch(pa.Table.from_pylist(rows, schema=TIER0_SCHEMA))
-    assert out.column("checksum_ok").to_pylist() == [True] * 4
+        masks.append(valid)
+    batch = pa.Table.from_pylist(rows, schema=TIER0_SCHEMA)
+    # the default bound, then one that puts slice edges inside the batch
+    for slice_tokens in (encode.SLICE_TOKENS, 7):
+        monkeypatch.setattr(encode, "SLICE_TOKENS", slice_tokens)
+        out = decode_batch(batch)
+        assert out.column("checksum_ok").to_pylist() == [True] * len(rows)
+        for row, valid, got in zip(rows, masks, out.column("tokens").to_pylist()):
+            ref = gorilla_decode_ref(row["first_val"], row["gorilla_xor"], row["n_tok"])
+            want = ref.tolist() if valid is None else [int(x) if ok else None for x, ok in zip(ref, valid)]
+            assert got == want, (slice_tokens, row["doc_id"])
+
+
+def _adversarial_parts():
+    """Validated-part rows: edge lengths around the chunk size, all-null
+    and leading-null rows, alternating INT32_MIN/INT32_MAX."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(13)
+    lists = []
+    for i, n in enumerate([0, 1, 2, 33, 34, 65, 4097, 3, 9, 8, 16, 17]):
+        kind = i % 4
+        if kind == 0:
+            v = rng.integers(0, 50257, n).tolist()
+        elif kind == 1:
+            v = [-(2**31) if j % 2 == 0 else 2**31 - 1 for j in range(n)]
+        else:
+            v = rng.integers(-(2**31), 2**31 - 1, n).tolist()
+        if kind == 2 and n:
+            v = [None] * n
+        if kind == 3 and n > 2:
+            v[0] = v[1] = v[n // 2] = None
+        lists.append(v)
+    return pa.table(
+        {
+            "doc_id": [f"a{i:02d}" for i in range(len(lists))],
+            "source": ["s"] * len(lists),
+            "part_id": pa.array([0] * len(lists), pa.int32()),
+            "tokens": pa.array(lists, pa.list_(pa.int32())),
+            "n_tok": pa.array([len(v) for v in lists], pa.int32()),
+        }
+    )
+
+
+def test_encode_rows_matches_oracle(monkeypatch):
+    """Every tier0 column of the row-batched encode_rows equals
+    oracle.encode_part row by row, on sliced and chunked inputs too, and
+    the DoD stream state matches."""
+    import pyarrow as pa
+
+    from anomalydetection_ray.oracle import encode_part
+    from anomalydetection_ray.stages import encode
+
+    base = _adversarial_parts()
+    chunked = pa.concat_tables([base.slice(0, 5), base.slice(5, 2), base.slice(7)])
+    cases = [(s, b) for s in (encode.SLICE_TOKENS, 7) for b in (base, base.slice(1), chunked)]
+    for slice_tokens, batch in cases:
+        monkeypatch.setattr(encode, "SLICE_TOKENS", slice_tokens)
+        tier0, dod = encode.encode_rows(batch)
+        ref_state = DodState()
+        for row, tok in zip(tier0.to_pylist(), batch.column("tokens").to_pylist()):
+            valid = np.array([x is not None for x in tok], dtype=bool)
+            vals = np.array([0 if x is None else x for x in tok], dtype=np.int32)
+            ref = encode_part(vals, None if valid.all() else valid, 0, ref_state)
+            for col, want in ref.items():
+                assert row[col] == want, (slice_tokens, row["doc_id"], col)
+        assert dod.as_tuple() == ref_state.as_tuple()
