@@ -18,6 +18,11 @@ TIER2_BUCKET = 10_000
 MAX_TOKENS_PER_PART = 1_000_000
 assert MAX_TOKENS_PER_PART % TIER2_BUCKET == 0
 
+# Tokens per slice of the flat-buffer kernels (robust-score sorts, tier0
+# encode / decode): bounds their per-token temporaries to a cache-sized
+# working set.  An item (bucket or row) longer than this is its own slice.
+SLICE_TOKENS = 1 << 15
+
 # Robust-scale factor: 1/Phi^{-1}(3/4), the consistency constant making
 # MAD comparable to a standard deviation (S-H-ESD, arXiv:1704.07706 §3).
 MAD_SCALE = 1.4826

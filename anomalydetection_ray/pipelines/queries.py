@@ -707,15 +707,13 @@ def rollup_events_tier1(sf_dir: str, num_partitions: int = 16):
 
     Scale shape: one exchange on ``_pkey = hash(user_id) % P`` (all of a
     user's events land in one partition), then each partition call sorts
-    by (user_id, event_id) and runs the SAME vectorized index algebra +
-    int-domain robust-score kernel as the flagship rollup
-    (stages/rollup.py `_scores_dense`) — no per-user or per-bucket
-    Python."""
-    from anomalydetection_ray.stages.rollup import _scores_dense
+    by (user_id, event_id) and runs the flagship rollup's bucket kernel
+    (stages/rollup.py ``bucket_stats``: bucket geometry, reduceat and the
+    segmented-sort robust score) — no per-user or per-bucket Python."""
+    from anomalydetection_ray.stages.rollup import bucket_stats
     from anomalydetection_ray.stages.runs import partition_apply, run_starts
 
     def per_partition(batch: pa.Table) -> pa.Table:
-        w = EVENTS_BUCKET
         if batch.num_rows == 0:
             return pa.table(
                 {
@@ -729,24 +727,11 @@ def rollup_events_tier1(sf_dir: str, num_partitions: int = 16):
                 }
             )
         batch = batch.sort_by([("user_id", "ascending"), ("event_id", "ascending")])
-        n = batch.num_rows
         v = np.floor(np.asarray(batch.column("value"), dtype=np.float64)).astype(np.int32)
         uids = np.asarray(batch.column("user_id"), dtype=np.int64)
         ustarts = run_starts(batch, ["user_id"])
-        lens = np.diff(np.concatenate((ustarts, np.array([n], dtype=np.int64))))
-        nu = lens.shape[0]
-        nb = -(-lens // w)
-        total = int(nb.sum())
-        rows = np.repeat(np.arange(nu, dtype=np.int64), nb)
-        first = np.cumsum(nb) - nb
-        local = np.arange(total, dtype=np.int64) - first[rows]
-        bstarts = ustarts[rows] + local * w
-        bends = np.minimum(bstarts + w, ustarts[rows] + lens[rows])
-        counts = bends - bstarts
-        mins = np.minimum.reduceat(v, bstarts)
-        maxs = np.maximum.reduceat(v, bstarts)
-        sums = np.add.reduceat(v.astype(np.int64), bstarts)
-        scores = _scores_dense(v, bstarts, bends, counts, width=w)
+        offsets = np.append(ustarts, batch.num_rows).astype(np.int64)
+        rows, local, counts, mins, maxs, sums, scores = bucket_stats(v, None, offsets, EVENTS_BUCKET)
         return pa.table(
             {
                 "user_id": pa.array(uids[ustarts][rows], type=pa.int64()),

@@ -30,26 +30,20 @@ _READ_TARGET_BYTES = 32 * 1024 * 1024
 
 
 def read_sequences(path: str, override_num_blocks: int | None = None,
-                   columns: list[str] | None = None, fast: bool = True,
-                   num_cpus: float = 2):
+                   columns: list[str] | None = None, num_cpus: float = 2):
     """S1: parquet source with explicit column pruning (SURVEY.md §2.2 S1).
 
-    ``fast=True`` uses a row-group-granular direct reader: the driver scans
-    only footers (metadata), packs row-group ranges into ~32 MB read units,
-    and each task decodes its ranges with pyarrow C++ (`pq.read_table`).
-    Measured on this box, Ray 2.49's generic `read_parquet` scan burned
-    ~20x the CPU of a direct footer-planned read on list<int32> payloads;
-    at 100 TB the same plan (central metadata scan -> distributed range
-    reads) is how the read should be laid out anyway.  ``fast=False``
-    falls back to `ray.data.read_parquet`.
+    A row-group-granular direct reader: the driver scans only footers
+    (metadata), packs row-group ranges into ~32 MB read units, and each
+    task decodes its ranges with pyarrow C++ (`pq.read_table`).  Measured
+    on this box, Ray 2.49's generic `read_parquet` scan burned ~20x the
+    CPU of a direct footer-planned read on list<int32> payloads; at 100 TB
+    the same plan (central metadata scan -> distributed range reads) is
+    how the read should be laid out anyway.
     """
     import ray.data
 
     cols = columns or SEQUENCE_COLUMNS
-    if not fast:
-        return ray.data.read_parquet(path, columns=cols,
-                                     override_num_blocks=override_num_blocks)
-
     units = plan_read_units(path)
     packed = pack_read_units(units, override_num_blocks)
 
@@ -230,16 +224,13 @@ def validated(ds, num_cpus: float = 2):
                           num_cpus=num_cpus)
 
 
-def rollup_pipeline(ds, policy: str = "locf", batch_size: int | None = None,
-                    num_cpus: float = 2):
-    """validate + rollup; returns the tier1+tier2 Dataset (lazy).
-
-    ``batch_size=None`` processes whole blocks (the kernel chunks its own
-    median gathers, so memory stays bounded regardless — stages/rollup.py
-    MEDIAN_CHUNK)."""
+def rollup_pipeline(ds, policy: str = "locf", num_cpus: float = 2):
+    """validate + rollup; returns the tier1+tier2 Dataset (lazy).  Whole
+    blocks go to the kernel, which bounds its own temporaries
+    (``SLICE_TOKENS``)."""
     kernel = functools.partial(rollup_batch, policy=policy)
     return validated(ds, num_cpus=num_cpus).map_batches(
-        kernel, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
+        kernel, batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
         num_cpus=num_cpus,
     )
 

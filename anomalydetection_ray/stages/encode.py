@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterator
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from anomalydetection_ray.codecs import (
     DodState,
@@ -33,14 +31,11 @@ from anomalydetection_ray.codecs import (
     gorilla_encode_rows,
     state_hash,
 )
-from anomalydetection_ray.constants import CODEC_VERSION, ENGINE_VERSION
+from anomalydetection_ray.constants import CODEC_VERSION, ENGINE_VERSION, SLICE_TOKENS
 from anomalydetection_ray.oracle import TIER0_SCHEMA
-from anomalydetection_ray.stages.rollup import _flat_tokens, _locf_flat
+from anomalydetection_ray.pipelines.rollup import write_unit
+from anomalydetection_ray.stages.rollup import _flat_tokens, _locf_flat, _slices
 from anomalydetection_ray.state.manifest import write_manifest_row
-
-# tokens per row slice of encode_rows / decode_batch: bounds the kernels'
-# per-token temporaries (a longer row is a slice of its own)
-SLICE_TOKENS = 1 << 15
 
 SUMMARY_SCHEMA = pa.schema(
     [
@@ -67,19 +62,6 @@ def assign_partition(batch: pa.Table, num_parts: int) -> pa.Table:
     h = pd.util.hash_array(np.asarray(c.to_pandas(), dtype=object), categorize=False)
     pids = (h % np.uint64(num_parts)).astype(np.int32)
     return batch.append_column("pid", pa.array(pids, type=pa.int32()))
-
-
-def _row_slices(lens: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Consecutive ``[start, end)`` row ranges of at most ``SLICE_TOKENS``
-    tokens each; a longer row is a range of its own.  One iteration per
-    range, not per row."""
-    ends = np.cumsum(lens)
-    r = 0
-    while r < lens.shape[0]:
-        e = int(np.searchsorted(ends, ends[r] - lens[r] + SLICE_TOKENS, side="right"))
-        e = max(e, r + 1)
-        yield r, e
-        r = e
 
 
 def _binary_flat(col) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +109,7 @@ def encode_rows(batch: pa.Table) -> tuple[pa.Table, DodState]:
     checksums: list[int] = []
     enc, bms = [], []
     enc_lens, bm_lens = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for a, e in _row_slices(lens):
+    for a, e in _slices(lens, SLICE_TOKENS):
         n = lens[a:e]
         vals, valid, offs = _flat_tokens(batch.slice(a, e - a))
         dense = vals if valid is None else _locf_flat(vals, valid, offs)
@@ -186,11 +168,7 @@ class EncodePartition:
         enc_bytes = int(pc.sum(pc.binary_length(tier0.column("gorilla_xor"))).as_py() or 0)
         sh = state_hash(dod)
         if self.out_dir is not None:
-            pdir = os.path.join(self.out_dir, "tier0", f"part={pid:06d}")
-            os.makedirs(pdir, exist_ok=True)
-            tmp = os.path.join(pdir, ".tmp-data.parquet")
-            pq.write_table(tier0, tmp)
-            os.replace(tmp, os.path.join(pdir, "data.parquet"))
+            write_unit(tier0, os.path.join(self.out_dir, "tier0", f"part={pid:06d}"))
             write_manifest_row(
                 self.out_dir,
                 {
@@ -226,7 +204,7 @@ def decode_batch(batch: pa.Table) -> pa.Table:
     flat = np.empty(int(offsets[-1]), dtype=np.int32)
     valid = np.ones(int(offsets[-1]), dtype=bool)
     ok = np.empty(n_tok.shape[0], dtype=bool)
-    for a, e in _row_slices(n_tok):
+    for a, e in _slices(n_tok, SLICE_TOKENS):
         t = batch.slice(a, e - a)
         n = n_tok[a:e]
         offs = offsets[a : e + 1] - offsets[a]

@@ -8,9 +8,11 @@ NumPy-vectorized over the batch's flat token buffer —
 - bucket boundaries via repeat/arange index algebra, min/max/sum via
   ``np.{minimum,maximum,add}.reduceat`` (the bucket starts tile the flat
   buffer exactly, so one reduceat covers every bucket of every row);
-- per-bucket median/MAD/max-deviation for the anomaly score via a chunked
-  (bounded-memory) 2-D gather over the full buckets + a short loop over the
-  at-most-one partial tail bucket per row;
+- per-bucket median/MAD/max-deviation for the anomaly score via one
+  segmented integer sort per slice of at most ``SLICE_TOKENS`` tokens,
+  the same for buckets of any length (``_robust_scores``);
+- the ``drop`` gap policy as compaction: the valid tokens keep the bucket
+  of their original position, and empty buckets roll up as ``filled``;
 - tier2 as the G1 merge of tier1 computed with reduceat over the tier1
   arrays; the tier2 mean is the exact integer value-sum divided once
   (order-free, bit-identical to the oracle and to SQL sum(v)/count).
@@ -18,27 +20,24 @@ NumPy-vectorized over the batch's flat token buffer —
 Bit-for-bit parity with ``anomalydetection_ray.oracle`` is a test gate
 (tests/test_rollup_engine.py): every float here is produced by the same
 IEEE operations in the same order as the oracle's per-bucket loops.
-
-The only non-vector path is the ``drop`` gap policy on batches that
-actually contain null positions — those rows fall back to the oracle loop
-(rare by construction; locf/linear fill densely and stay vectorized).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 import pyarrow as pa
 
-from anomalydetection_ray import oracle
 from anomalydetection_ray.constants import (
     MAD_SCALE,
     MAX_TOKENS_PER_PART,
+    SLICE_TOKENS,
     TIER1_BUCKET,
     TIER2_BUCKET,
 )
-
-# buckets per median-gather chunk: 8192 buckets x 1000 positions x 8 B ~ 64 MiB
-MEDIAN_CHUNK = 8192
+from anomalydetection_ray.functions.stats import GAP_POLICIES
+from anomalydetection_ray.oracle import TIER_SCHEMA
 
 _R = TIER2_BUCKET // TIER1_BUCKET
 _PARTS1 = MAX_TOKENS_PER_PART // TIER1_BUCKET
@@ -110,175 +109,127 @@ def _linear_flat(vals: np.ndarray, valid: np.ndarray, offsets: np.ndarray) -> np
     return out.astype(np.int32, copy=False)
 
 
-def _scores_dense(
-    vals: np.ndarray, starts: np.ndarray, ends: np.ndarray, counts: np.ndarray,
-    width: int = TIER1_BUCKET,
-) -> np.ndarray:
-    total = starts.shape[0]
-    scores = np.empty(total, dtype=np.float64)
-    if width % 2 == 1:
-        # the (h-1, h) partition pair below assumes even width; odd widths
-        # go through the padded-sort path (length-generic)
-        _scores_partial(vals, starts, counts, np.arange(total, dtype=np.int64), scores)
-        return scores
-    full = counts == width
-    fidx = np.flatnonzero(full)
-    col = np.arange(width, dtype=np.int64)
-    h = width // 2
-    for lo in range(0, fidx.shape[0], MEDIAN_CHUNK):
-        ch = fidx[lo : lo + MEDIAN_CHUNK]
-        g = vals[starts[ch][:, None] + col]  # int32, half the float64 traffic
-        # Integer-domain robust score, bit-identical to the oracle's float64
-        # path: every intermediate is an integer or integer/2, exact in f64.
-        #   med = (a+b)/2 with a,b the two middle order statistics
-        #   dev_i = |x_i - med|        =>  2*dev_i = |2*x_i - (a+b)|  (int64)
-        #   mad   = median(dev)        =>  2*mad   = median(2*dev)
-        #   score = max(dev)/(1.4826*mad)  computed from the halved values.
-        p = np.partition(g, (h - 1, h), axis=1)
-        gmin = int(g.min())
-        gmax = int(g.max())
-        if 2 * (gmax - gmin) < 2**31:
-            # int32 fast path (always taken for token vocabularies): shift
-            # by the chunk min so |2*(g-m) - (med2-2m)| == |2*g - med2|
-            # stays exact in int32 — halves the memory traffic of the
-            # median pass, which is what binds parallel scaling
-            g0 = (g - np.int32(gmin)).astype(np.int32, copy=False)
-            med2 = (
-                (p[:, h - 1].astype(np.int64) + p[:, h]) - 2 * gmin
-            ).astype(np.int32)
-            d2 = np.abs(2 * g0 - med2[:, None])
-        else:
-            med2 = p[:, h - 1].astype(np.int64) + p[:, h]  # = 2*median, exact
-            d2 = np.abs(2 * g.astype(np.int64) - med2[:, None])
-        mad = np.median(d2, axis=1) * 0.5  # exact: /2 is a power of two
-        mx = d2.max(axis=1) * 0.5
+def _slices(lens: np.ndarray, bound: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[start, end)`` ranges of items (rows or buckets) ``lens``
+    tokens long, at most ``bound`` tokens each; a longer item is a range of
+    its own.  One iteration per range, not per item."""
+    ends = np.cumsum(lens)
+    r = 0
+    while r < lens.shape[0]:
+        e = int(np.searchsorted(ends, ends[r] - lens[r] + bound, side="right"))
+        e = max(e, r + 1)
+        yield r, e
+        r = e
+
+
+def _robust_scores(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Robust anomaly score of each bucket; the buckets, ``counts`` tokens
+    long (all > 0), tile ``vals`` in order.
+
+    One segmented sort per slice of whole buckets of at most
+    ``SLICE_TOKENS`` tokens (the bound keeps each sort cache-sized).  With
+    ``lb`` the bucket's index in its slice and ``m`` the slice minimum:
+      s = sort(lb << 32 | (v - m))             -> med2 = s[k1] + s[k2]
+      d = sort(lb << 34 | |2(v - m) - med2|)   (= 2 * |v - median|)
+      mad = (d[k1] + d[k2]) / 4,  max dev = d[last] / 2
+    with k1, k2 the bucket's two middle positions.  Every value is an exact
+    integer (or an exact quotient by a power of two) for any int32 input,
+    so the floats are the oracle's ``robust_score`` bit for bit."""
+    scores = np.empty(counts.shape[0], dtype=np.float64)
+    ends = np.cumsum(counts)
+    for b0, b1 in _slices(counts, SLICE_TOKENS):
+        L = counts[b0:b1]
+        t0 = ends[b0] - L[0]
+        start = ends[b0:b1] - L - t0  # each bucket's first token in the slice
+        v = vals[t0 : ends[b1 - 1]].astype(np.int64)
+        v -= v.min()
+        lb = np.repeat(np.arange(b1 - b0, dtype=np.int64), L)
+        k1 = start + ((L - 1) >> 1)
+        k2 = start + (L >> 1)
+        s = np.sort(lb << 32 | v) - (lb << 32)
+        med2 = s[k1] + s[k2]
+        d = np.sort(lb << 34 | np.abs(2 * v - np.repeat(med2, L))) - (lb << 34)
+        mad = (d[k1] + d[k2]) * 0.25  # exact: /4 is a power of two
+        mx = d[start + L - 1] * 0.5
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores[ch] = np.where(mad == 0.0, 0.0, mx / (MAD_SCALE * mad))
-    _scores_partial(vals, starts, counts, np.flatnonzero(~full), scores)
+            scores[b0:b1] = np.where(mad == 0.0, 0.0, mx / (MAD_SCALE * mad))
     return scores
 
 
-_PAD = np.int64(1) << 62  # sorts after any |2*int32 - med2| value
+def bucket_stats(
+    vals: np.ndarray, valid: np.ndarray | None, offsets: np.ndarray, width: int,
+) -> tuple[np.ndarray, ...]:
+    """Tumbling buckets of ``width`` positions over each row of a flat
+    buffer (row ``i`` = positions ``offsets[i]:offsets[i+1]``) ->
+    ``(rows, local, counts, mins, maxs, sums, scores)``, one entry per
+    bucket in row-major order.  ``local`` is the bucket's index in its row.
+
+    With a ``valid`` mask only the valid positions count (the ``drop`` gap
+    policy): the valid tokens are compacted, each keeps the bucket of its
+    original position, and an all-null bucket gets ``counts == 0``, min
+    INT32_MAX, max INT32_MIN, sum 0 and score 0.0."""
+    lens = np.diff(offsets)
+    nb = -(-lens // width)
+    total = int(nb.sum())
+    rows = np.repeat(np.arange(lens.shape[0], dtype=np.int64), nb)
+    local = np.arange(total, dtype=np.int64) - (np.cumsum(nb) - nb)[rows]
+    starts = offsets[rows] + local * width
+    if valid is None:
+        counts = np.minimum(width, offsets[rows + 1] - starts)
+    else:
+        counts = np.add.reduceat(valid, starts, dtype=np.int64)
+        vals = vals[valid]
+    nz = np.flatnonzero(counts)
+    at = (np.cumsum(counts) - counts)[nz]
+    mins = np.full(total, np.iinfo(np.int32).max, dtype=np.int32)
+    maxs = np.full(total, np.iinfo(np.int32).min, dtype=np.int32)
+    sums = np.zeros(total, dtype=np.int64)
+    scores = np.zeros(total, dtype=np.float64)
+    mins[nz] = np.minimum.reduceat(vals, at)
+    maxs[nz] = np.maximum.reduceat(vals, at)
+    sums[nz] = np.add.reduceat(vals.astype(np.int64), at)
+    scores[nz] = _robust_scores(vals, counts[nz])
+    return rows, local, counts, mins, maxs, sums, scores
 
 
-def _scores_partial(
-    vals: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-    pidx: np.ndarray, scores: np.ndarray,
-) -> None:
-    """Vectorized robust score for the <= one partial tail bucket per row:
-    pad each bucket to the chunk's max length with a +inf-like sentinel,
-    one C-level row sort puts the sentinel last, and the two middle order
-    statistics of the TRUE length come from a fancy index.  Integer-domain
-    arithmetic identical to the full-bucket path (and therefore to the
-    oracle's float64 loop):  med2 = s[(L-1)//2] + s[L//2],
-    2*mad = (d2s[(L-1)//2] + d2s[L//2]) / 2, all exact in f64."""
-    if pidx.shape[0] == 0:
-        return
-    # singleton buckets: med == the value -> dev == 0 -> score 0 (MAD=0)
-    ones = counts[pidx] == 1
-    if ones.any():
-        scores[pidx[ones]] = 0.0
-        pidx = pidx[~ones]
-        if pidx.shape[0] == 0:
-            return
-    for lo in range(0, pidx.shape[0], MEDIAN_CHUNK):
-        ch = pidx[lo : lo + MEDIAN_CHUNK]
-        L = counts[ch]
-        maxL = int(L.max())
-        nr = ch.shape[0]
-        col = np.arange(maxL, dtype=np.int64)
-        live = col[None, :] < L[:, None]
-        # clipped gather: padding cells read a duplicate in-bucket value,
-        # then get overwritten by the sentinel
-        gather = starts[ch][:, None] + np.minimum(col, L[:, None] - 1)
-        g32 = vals[gather]
-        gmin = int(g32.min())
-        gmax = int(g32.max())
-        rows = np.arange(nr)
-        k1 = (L - 1) >> 1
-        k2 = L >> 1
-        if 2 * (gmax - gmin) < 2**31:
-            # int32 fast path, shifted by the chunk min (same exact values
-            # as the int64 path — see _scores_dense)
-            pad = np.int32(2**31 - 1)
-            g = (g32 - np.int32(gmin)).astype(np.int32, copy=False)
-            g[~live] = pad
-            gs = np.sort(g, axis=1)
-            med2 = gs[rows, k1].astype(np.int64) + gs[rows, k2]
-            d2 = np.abs(2 * g - med2[:, None].astype(np.int32))
-            d2[~live] = pad
-        else:
-            g = g32.astype(np.int64)
-            g[~live] = _PAD
-            gs = np.sort(g, axis=1)
-            med2 = gs[rows, k1] + gs[rows, k2]
-            d2 = np.abs(2 * g - med2[:, None])
-            d2[~live] = _PAD
-        d2s = np.sort(d2, axis=1)
-        mad = (d2s[rows, k1] + d2s[rows, k2]) * 0.25  # exact: /4 power of two
-        mx = d2s[rows, L - 1] * 0.5
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores[ch] = np.where(mad == 0.0, 0.0, mx / (MAD_SCALE * mad))
-
-
-def _empty_tiers() -> pa.Table:
-    return oracle.TIER_SCHEMA.empty_table()
+def _means(sums: np.ndarray, counts: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Exact ``sum / count`` per bucket; an empty bucket carries the mean of
+    the last non-empty bucket of its row (0.0 when there is none), as the
+    oracle's ``prev_mean``."""
+    idx = np.arange(counts.shape[0], dtype=np.int64)
+    last = np.maximum.accumulate(np.where(counts > 0, idx, -1))
+    means = sums / np.maximum(counts, 1)
+    return np.where(last >= idx - local, means[np.maximum(last, 0)], 0.0)
 
 
 def rollup_batch(batch: pa.Table, policy: str = "locf") -> pa.Table:
     """Validated parts -> tier1 + tier2 rollup rows (one Arrow table, both
     tiers distinguished by the ``tier`` column)."""
+    if policy not in GAP_POLICIES:
+        raise ValueError(f"unknown gap policy {policy!r}")
     if batch.num_rows == 0:
-        return _empty_tiers()
+        return TIER_SCHEMA.empty_table()
     vals, valid, offsets = _flat_tokens(batch)
-    if valid is not None and policy == "drop":
-        return _rollup_fallback(batch, policy)
-    if valid is not None:
-        if policy == "locf":
-            vals = _locf_flat(vals, valid, offsets)
-        else:  # linear: vectorized whole-buffer fill, then dense path
-            vals = _linear_flat(vals, valid, offsets)
-        valid = None
-
-    lens = np.diff(offsets)
-    nrows = lens.shape[0]
+    if valid is not None and policy != "drop":
+        fill = _locf_flat if policy == "locf" else _linear_flat
+        vals, valid = fill(vals, valid, offsets), None
     part_ids = np.asarray(batch.column("part_id"), dtype=np.int64)
 
     # ---- tier1 ----
-    nb1 = -(-lens // TIER1_BUCKET)
-    total1 = int(nb1.sum())
-    if total1 == 0:
-        return _empty_tiers()
-    rows1 = np.repeat(np.arange(nrows, dtype=np.int64), nb1)
-    first1 = np.cumsum(nb1) - nb1
-    local1 = np.arange(total1, dtype=np.int64) - first1[rows1]
-    starts = offsets[rows1] + local1 * TIER1_BUCKET
-    ends = np.minimum(starts + TIER1_BUCKET, offsets[rows1] + lens[rows1])
-    counts = ends - starts
-    bucket1 = part_ids[rows1] * _PARTS1 + local1
-
-    mins = np.minimum.reduceat(vals, starts)
-    maxs = np.maximum.reduceat(vals, starts)
-    sums = np.add.reduceat(vals.astype(np.int64), starts)
-    means = sums / counts
-    scores = _scores_dense(vals, starts, ends, counts)
+    rows1, local1, counts, mins, maxs, sums, scores = bucket_stats(
+        vals, valid, offsets, TIER1_BUCKET)
 
     # ---- tier2 = G1 merge of tier1 (exact integer sums, order-free) ----
-    nb2 = -(-lens // TIER2_BUCKET)
-    total2 = int(nb2.sum())
-    rows2 = np.repeat(np.arange(nrows, dtype=np.int64), nb2)
-    first2 = np.cumsum(nb2) - nb2
-    local2 = np.arange(total2, dtype=np.int64) - first2[rows2]
-    cstart = first1[rows2] + local2 * _R
-    bucket2 = part_ids[rows2] * _PARTS2 + local2
-
+    cstart = np.flatnonzero(local1 % _R == 0)
+    rows2 = rows1[cstart]
+    local2 = local1[cstart] // _R
     min2 = np.minimum.reduceat(mins, cstart)
     max2 = np.maximum.reduceat(maxs, cstart)
     count2 = np.add.reduceat(counts, cstart)
     score2 = np.maximum.reduceat(scores, cstart)
     # exact integer value-sums per tier2 bucket -> one IEEE division,
     # order-free and identical to SQL sum(v)/count (oracle semantics)
-    mean2 = np.add.reduceat(sums, cstart) / count2
+    sum2 = np.add.reduceat(sums, cstart)
 
     doc_col = batch.column("doc_id")
     src_col = batch.column("source")
@@ -287,55 +238,24 @@ def rollup_batch(batch: pa.Table, policy: str = "locf") -> pa.Table:
     if isinstance(src_col, pa.ChunkedArray):
         src_col = src_col.combine_chunks()
 
-    def tier_table(rows, tier, bucket, mn, mx, mean, cnt, score):
-        nb = bucket.shape[0]
+    def tier_table(tier, parts, rows, local, mn, mx, tsum, cnt, score):
+        empty = cnt == 0
         take = pa.array(rows, type=pa.int64())
         return pa.table(
             {
                 "doc_id": doc_col.take(take),
                 "source": src_col.take(take),
-                "tier": pa.array(np.full(nb, tier, dtype=np.int8)),
-                "bucket": pa.array(bucket, type=pa.int64()),
-                "min": pa.array(mn.astype(np.int32), type=pa.int32()),
-                "max": pa.array(mx.astype(np.int32), type=pa.int32()),
-                "mean": pa.array(mean, type=pa.float64()),
-                "count": pa.array(cnt.astype(np.int64), type=pa.int64()),
+                "tier": pa.array(np.full(rows.shape[0], tier, dtype=np.int8)),
+                "bucket": pa.array(part_ids[rows] * parts + local, type=pa.int64()),
+                "min": pa.array(mn, type=pa.int32(), mask=empty),
+                "max": pa.array(mx, type=pa.int32(), mask=empty),
+                "mean": pa.array(_means(tsum, cnt, local), type=pa.float64()),
+                "count": pa.array(cnt, type=pa.int64()),
                 "anomaly_score": pa.array(score, type=pa.float64()),
-                "filled": pa.array(np.zeros(nb, dtype=bool)),
+                "filled": pa.array(empty),
             }
         )
 
-    t1 = tier_table(rows1, 1, bucket1, mins, maxs, means, counts, scores)
-    t2 = tier_table(rows2, 2, bucket2, min2, max2, mean2, count2, score2)
+    t1 = tier_table(1, _PARTS1, rows1, local1, mins, maxs, sums, counts, scores)
+    t2 = tier_table(2, _PARTS2, rows2, local2, min2, max2, sum2, count2, score2)
     return pa.concat_tables([t1, t2])
-
-
-def _rollup_fallback(batch: pa.Table, policy: str) -> pa.Table:
-    """Oracle-loop path for drop-policy batches containing nulls."""
-    cols: dict[str, list] = {n: [] for n in oracle.TIER_SCHEMA.names}
-    doc_ids = batch.column("doc_id").to_pylist()
-    sources = batch.column("source").to_pylist()
-    part_ids = batch.column("part_id").to_pylist()
-    toks = batch.column("tokens")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    for i in range(batch.num_rows):
-        arr = toks[i].values
-        if arr.null_count:
-            valid = np.asarray(arr.is_valid())
-            vals = np.asarray(arr.fill_null(0), dtype=np.int32)
-        else:
-            valid = None
-            vals = np.asarray(arr, dtype=np.int32)
-        t1 = oracle.rollup_part(vals, valid, policy, part_ids[i])
-        t2 = oracle.tier2_from_tier1(t1)
-        for t, tier in ((t1, 1), (t2, 2)):
-            nb = len(t["bucket"])
-            cols["doc_id"].extend([doc_ids[i]] * nb)
-            cols["source"].extend([sources[i]] * nb)
-            cols["tier"].extend([tier] * nb)
-            for k in ("bucket", "min", "max", "mean", "count", "anomaly_score", "filled"):
-                cols[k].extend(t[k])
-    return pa.table(
-        {n: pa.array(cols[n], type=oracle.TIER_SCHEMA.field(n).type) for n in oracle.TIER_SCHEMA.names}
-    )

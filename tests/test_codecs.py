@@ -300,3 +300,30 @@ def test_encode_rows_matches_oracle(monkeypatch):
             for col, want in ref.items():
                 assert row[col] == want, (slice_tokens, row["doc_id"], col)
         assert dod.as_tuple() == ref_state.as_tuple()
+
+
+def test_encode_partition_write_failure_leaves_no_tmp(tmp_path, monkeypatch):
+    """A tier0 write that fails partway leaves no tmp file behind."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pytest
+
+    from anomalydetection_ray.sources.validate import validate_batch
+    from anomalydetection_ray.stages.encode import EncodePartition, assign_partition
+
+    tokens = pa.array([[1, 2, 3], [4, None]], type=pa.list_(pa.int32()))
+    group = assign_partition(validate_batch(pa.table({
+        "doc_id": ["a", "b"], "source": ["s", "s"], "tokens": tokens,
+        "n_tok": pa.array([3, 2], type=pa.int32())})), 1)
+
+    def fail(table, where, **kwargs):
+        with open(where, "wb") as f:
+            f.write(b"PAR1")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pq, "write_table", fail)
+    with pytest.raises(OSError, match="disk full"):
+        EncodePartition(str(tmp_path))(group)
+    assert os.listdir(tmp_path / "tier0" / "part=000000") == []
